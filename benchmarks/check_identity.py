@@ -4,7 +4,9 @@
 Usage: python benchmarks/check_identity.py [--baseline benchmarks/baseline.json]
 
 Runs the fixed Fig. 5 smoke cell once (no tracing, no cache) and
-compares its result-payload SHA-256 against the committed baseline.
+compares its result-payload SHA-256 against the committed baseline; the
+packet rack cell, the fabric cell and the pinned flow-mode rack cells
+are checked the same way when the baseline carries their hashes.
 This is the observability subsystem's hard invariant: with the default
 NullTracer, simulated results — and therefore runner cache keys — are
 byte-for-byte what they were before telemetry existed.  Unlike the
@@ -45,20 +47,41 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", default=DEFAULT_BASELINE)
     args = parser.parse_args(argv)
 
-    from repro.bench import bench_fig5, bench_rack
+    from repro.bench import (
+        bench_fig5,
+        bench_rack,
+        flow_rack_smoke_specs,
+        payload_sha256,
+    )
 
-    baseline = json.loads(pathlib.Path(args.baseline).read_text())
-    checks = [("fig5", "fig5_payload_sha256", lambda: bench_fig5(repeats=1))]
+    identity = json.loads(pathlib.Path(args.baseline).read_text())["identity"]
+    checks = [(
+        "fig5", identity["fig5_payload_sha256"],
+        lambda: bench_fig5(repeats=1)["payload_sha256"],
+    )]
     # racks joined the identity gate when the cluster layer landed; older
     # baselines without the key skip the check rather than fail
-    if "rack_payload_sha256" in baseline["identity"]:
-        checks.append(("rack", "rack_payload_sha256", bench_rack))
-    if "fabric_payload_sha256" in baseline["identity"]:
-        checks.append(("fabric", "fabric_payload_sha256", _fabric_payload))
+    if "rack_payload_sha256" in identity:
+        checks.append((
+            "rack", identity["rack_payload_sha256"],
+            lambda: bench_rack()["payload_sha256"],
+        ))
+    if "fabric_payload_sha256" in identity:
+        checks.append((
+            "fabric", identity["fabric_payload_sha256"],
+            lambda: _fabric_payload()["payload_sha256"],
+        ))
+    # flow-mode racks: one pinned payload per cell, keyed by cell label
+    flow_pins = identity.get("flow_rack_payload_sha256", {})
+    for cell, spec in flow_rack_smoke_specs().items():
+        if cell in flow_pins:
+            checks.append((
+                f"flow rack {cell}", flow_pins[cell],
+                lambda spec=spec: payload_sha256(spec),
+            ))
     failed = False
-    for label, key, run in checks:
-        expected = baseline["identity"][key]
-        current = run()["payload_sha256"]
+    for label, expected, run in checks:
+        current = run()
         if current != expected:
             print(
                 f"FAIL: untraced {label} payload hash moved\n"

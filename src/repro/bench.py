@@ -118,18 +118,46 @@ def rack_smoke_spec():
     )
 
 
-def bench_rack(repeats: int = 1) -> Dict[str, Any]:
+def flow_rack_smoke_specs() -> Dict[str, Any]:
+    """The pinned flow-mode rack cells (NAT, 0.05 simulated s, seed
+    2024), each at the 100 µs default flow interval and at the fabric's
+    1 ms; keyed by the label ``baseline.json`` pins their payload under."""
+    from repro.exp.server import RunConfig
+    from repro.runner.spec import JobSpec
+
+    cells = (
+        ("hal", 4, "packing", "web"),
+        ("hal,host", 3, "flowhash", "cache"),
+        ("slb", 2, "packing", "web"),
+    )
+    specs: Dict[str, Any] = {}
+    for interval_s in (100e-6, 1e-3):
+        config = RunConfig(
+            duration_s=0.05, seed=2024, sim_mode="flow",
+            flow_interval_s=interval_s,
+        )
+        for kind, servers, policy, trace in cells:
+            label = f"{kind} x{servers}/{policy}/{trace}@{interval_s * 1e6:g}us"
+            specs[label] = JobSpec.rack(
+                kind, "nat", trace, config, servers=servers, policy=policy
+            )
+    return specs
+
+
+def payload_sha256(spec: Any) -> str:
+    """SHA-256 of one job's canonical result payload."""
+    from repro.runner.executor import execute_job
+
+    blob = json.dumps(execute_job(spec), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def bench_rack() -> Dict[str, Any]:
     """Result identity of the fixed rack smoke cell (untraced runs must
     stay bit-identical across seeds/platforms, like fig5)."""
     spec = rack_smoke_spec()
-    from repro.runner.executor import execute_job
-
-    payload = None
-    for _ in range(repeats):
-        payload = execute_job(spec)
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return {
-        "payload_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "payload_sha256": payload_sha256(spec),
         "spec_hash": spec.content_hash(),
     }
 

@@ -32,13 +32,12 @@ from repro.cluster.autoscaler import AutoscalerConfig, RackAutoscaler
 from repro.cluster.fronttier import TOR_LATENCY_S, FrontTierPort
 from repro.cluster.policies import POLICIES, ServerSlot, make_policy
 from repro.cluster.power import RackPowerConfig, RackPowerModel
-from repro.cluster.system import MEMBER_KINDS, ClusterSystem, run_rack
+from repro.cluster.system import ClusterSystem, run_rack
 
 __all__ = [
     "AutoscalerConfig",
     "ClusterSystem",
     "FrontTierPort",
-    "MEMBER_KINDS",
     "POLICIES",
     "RackAutoscaler",
     "RackPowerConfig",

@@ -25,7 +25,7 @@ The four policies span the design space the rack experiment compares:
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.net.addressing import AddressPlan
 from repro.net.packet import Packet
@@ -72,6 +72,23 @@ class ServerSlot:
         self.dispatched_packets = 0
         self.dispatched_bits = 0
         self.responses = 0
+
+
+def member_slots(
+    plans: Sequence[AddressPlan], members: Sequence[Any]
+) -> List[ServerSlot]:
+    """One slot per rack member.  Each slot's occupancy probe reads the
+    deepest Rx queue over the member's engines, so packet-mode engines
+    and flow-mode stations feed the front tier and autoscaler alike."""
+    slots = []
+    for index, (plan, member) in enumerate(zip(plans, members)):
+        engines = member.engines()
+
+        def occupancy(engines: List[Any] = engines) -> int:
+            return max(engine.rx_queue_occupancy() for engine in engines)
+
+        slots.append(ServerSlot(index, plan, occupancy))
+    return slots
 
 
 class DispatchPolicy:

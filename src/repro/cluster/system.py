@@ -23,17 +23,15 @@ clipped at N× line rate) and runs the diurnal workload against the rack.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Type
+from typing import Any, List, Mapping, Optional, Sequence
 
 from repro.cluster.autoscaler import AutoscalerConfig, ManagedServer, RackAutoscaler
 from repro.cluster.fronttier import TOR_LATENCY_S, FrontTierPort
-from repro.cluster.policies import ServerSlot, make_policy
+from repro.cluster.policies import make_policy, member_slots
 from repro.cluster.power import RackPowerConfig, RackPowerModel
-from repro.core.hal import HalSystem
-from repro.core.slb import HostSideSlbSystem, SlbSystem
-from repro.core.static import HostOnlySystem, SnicOnlySystem
+from repro.core import SYSTEM_CLASSES
 from repro.core.systems import DRAIN_S, ServerSystem
-from repro.hw.power import ROLE_HOST, ROLE_SNIC, PowerConfig
+from repro.hw.power import ROLE_SNIC, PowerConfig
 from repro.net.addressing import RackAddressPlan
 from repro.net.traffic import (
     LINE_RATE_GBPS,
@@ -47,29 +45,36 @@ from repro.sim.engine import Simulator
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import RngRegistry
 
-_MEMBER_CLASSES: Dict[str, Type[ServerSystem]] = {
-    "hal": HalSystem,
-    "slb": SlbSystem,
-    "host": HostOnlySystem,
-    "snic": SnicOnlySystem,
-    "host-slb": HostSideSlbSystem,
-}
-
-#: server kinds a rack can hold (comma-separate to mix, e.g. "hal,host")
-MEMBER_KINDS = tuple(_MEMBER_CLASSES)
-
-
-def _member_kinds(member_kind: str, servers: int) -> List[str]:
-    """Expand ``"hal"`` or ``"hal,host"`` to one kind per slot (cycling)."""
+def _member_kinds(
+    member_kind: str, servers: int, table: Mapping[str, Any]
+) -> List[str]:
+    """Expand ``"hal"`` or ``"hal,host"`` to one kind per slot (cycling),
+    checking each kind against the mode's kind → class ``table``."""
     kinds = [k.strip() for k in member_kind.split(",") if k.strip()]
     if not kinds:
         raise ValueError("member_kind cannot be empty")
     for kind in kinds:
-        if kind not in _MEMBER_CLASSES:
+        if kind not in table:
             raise ValueError(
-                f"unknown member kind {kind!r}; known: {MEMBER_KINDS}"
+                f"unknown member kind {kind!r}; known: {tuple(table)}"
             )
     return [kinds[i % len(kinds)] for i in range(servers)]
+
+
+def rack_snic_share(members: Sequence[Any]) -> float:
+    """Delivered-bits SNIC share across every rack member, in either mode
+    (forward stages move packets, they don't complete them, so they don't
+    count)."""
+    snic = total = 0
+    for member in members:
+        roles = member.power._roles
+        for engine in member.engines():
+            if engine.forward_stage:
+                continue
+            total += engine.delivered_bits
+            if roles.get(engine.name) == ROLE_SNIC:
+                snic += engine.delivered_bits
+    return snic / total if total > 0 else 0.0
 
 
 class ClusterSystem:
@@ -112,11 +117,11 @@ class ClusterSystem:
             else None
         )
 
-        kinds = _member_kinds(member_kind, servers)
+        kinds = _member_kinds(member_kind, servers, SYSTEM_CLASSES)
         self.members: List[ServerSystem] = []
         for index, kind in enumerate(kinds):
             instance = f"s{index}"
-            member = _MEMBER_CLASSES[kind](
+            member = SYSTEM_CLASSES[kind](
                 function,
                 functional_rate=functional_rate,
                 power_config=power_config,
@@ -132,16 +137,7 @@ class ClusterSystem:
             # they built; the rack run owns kernel-level events
             self.sim.set_tracer(self.tracer)
 
-        self.slots: List[ServerSlot] = []
-        for index, member in enumerate(self.members):
-            engines = member.engines()
-
-            def occupancy(engines=engines) -> int:
-                return max(e.rx_queue_occupancy() for e in engines)
-
-            self.slots.append(
-                ServerSlot(index, self.rack_plan.servers[index], occupancy)
-            )
+        self.slots = member_slots(self.rack_plan.servers, self.members)
 
         self.front = FrontTierPort(
             self.sim,
@@ -191,23 +187,6 @@ class ClusterSystem:
 
     def ingress(self, packet) -> None:
         self.front.ingress(packet)
-
-    def _rack_snic_share(self) -> float:
-        """Delivered-bits SNIC share across every member (forward stages
-        move packets, they don't complete them, so they don't count)."""
-        snic = host = 0
-        for member in self.members:
-            roles = member.power._roles
-            for engine in member.engines():
-                if engine.forward_stage:
-                    continue
-                role = roles.get(engine.name)
-                if role == ROLE_SNIC:
-                    snic += engine.delivered_bits
-                elif role == ROLE_HOST:
-                    host += engine.delivered_bits
-        total = snic + host
-        return snic / total if total > 0 else 0.0
 
     # -- run loop ---------------------------------------------------------
     def run(self, generator: PacketGenerator, duration_s: float) -> RunMetrics:
@@ -262,7 +241,7 @@ class ClusterSystem:
         metrics.generated_packets = generator.generated_packets
         metrics.average_power_w = self.rack_power.average_watts()
         metrics.power_breakdown = self.rack_power.breakdown()
-        metrics.snic_share = self._rack_snic_share()
+        metrics.snic_share = rack_snic_share(self.members)
         metrics.extras["max_window_gbps"] = max(
             max_window[0], metrics.throughput_gbps
         )

@@ -1,5 +1,7 @@
 """HAL core: hardware load balancer, policy, and evaluated systems."""
 
+from typing import Dict, Type
+
 from repro.core.costs import (
     CORUNDUM_LUTS,
     FPGA_TO_ASIC_POWER_FACTOR,
@@ -32,8 +34,24 @@ from repro.core.slb import (
     HostSideSlbSystem,
     SlbSystem,
 )
-from repro.core.static import HostOnlySystem, PlatformSystem, SnicOnlySystem
+from repro.core.static import (
+    PLATFORMS,
+    HostOnlySystem,
+    PlatformSystem,
+    SnicOnlySystem,
+)
 from repro.core.systems import DRAIN_S, ServerSystem
+
+#: system kind → packet-mode class: the one table single-server builds and
+#: rack members index (the platform kinds in ``PLATFORMS`` build a
+#: :class:`PlatformSystem` instead)
+SYSTEM_CLASSES: Dict[str, Type[ServerSystem]] = {
+    "host": HostOnlySystem,
+    "snic": SnicOnlySystem,
+    "hal": HalSystem,
+    "slb": SlbSystem,
+    "host-slb": HostSideSlbSystem,
+}
 
 __all__ = [
     "CORUNDUM_LUTS",
@@ -51,9 +69,11 @@ __all__ = [
     "LbpConfig",
     "LoadBalancingPolicy",
     "MONITOR_WINDOW_S",
+    "PLATFORMS",
     "PlatformSystem",
     "SLB_FORWARD_GBPS_PER_CORE",
     "SLB_FORWARD_PATH_US",
+    "SYSTEM_CLASSES",
     "ProfilePoint",
     "ServerSystem",
     "SlbSystem",

@@ -16,6 +16,10 @@ from repro.hw.power import ROLE_HOST, ROLE_SNIC
 from repro.hw.snic import make_snic_engine
 from repro.net.packet import Packet
 
+#: single-engine platform kinds (Fig. 10): two SNIC generations, two hosts
+PLATFORMS = ("bf2", "bf3", "skylake", "spr")
+SNIC_PLATFORMS = ("bf2", "bf3")
+
 
 class HostOnlySystem(ServerSystem):
     """All packets to the host processor (the paper's 'Host' columns)."""
@@ -46,15 +50,10 @@ class SnicOnlySystem(ServerSystem):
 
     kind = "snic"
 
-    def __init__(self, function: str, generation: str = "bf2", **kwargs) -> None:
-        self.generation = generation
-        super().__init__(function, **kwargs)
-
     def _build(self) -> None:
         self.engine = make_snic_engine(
             self.sim,
             self.function,
-            generation=self.generation,
             name_prefix=self.engine_prefix,
             nf=self.nf,
             functional_rate=self.functional_rate,
@@ -69,6 +68,10 @@ class SnicOnlySystem(ServerSystem):
     def ingress(self, packet: Packet) -> None:
         self.eswitch.forward(packet)
 
+    def _finalize(self) -> None:
+        # every delivered bit was processed on the SNIC
+        self.metrics.snic_share = 1.0
+
 
 class PlatformSystem(ServerSystem):
     """A single engine built from an explicit profile — used by the
@@ -77,13 +80,13 @@ class PlatformSystem(ServerSystem):
     kind = "platform"
 
     def __init__(self, function: str, platform: str, **kwargs) -> None:
-        if platform not in ("bf2", "bf3", "skylake", "spr"):
+        if platform not in PLATFORMS:
             raise ValueError(f"unknown platform {platform!r}")
         self.platform = platform
         super().__init__(function, **kwargs)
 
     def _build(self) -> None:
-        if self.platform in ("bf2", "bf3"):
+        if self.platform in SNIC_PLATFORMS:
             self.engine = make_snic_engine(
                 self.sim, self.function, generation=self.platform,
                 name_prefix=self.engine_prefix,
@@ -104,3 +107,7 @@ class PlatformSystem(ServerSystem):
 
     def ingress(self, packet: Packet) -> None:
         self.eswitch.forward(packet)
+
+    def _finalize(self) -> None:
+        if self.platform in SNIC_PLATFORMS:
+            self.metrics.snic_share = 1.0

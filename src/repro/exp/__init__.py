@@ -3,7 +3,6 @@
 from repro.exp.report import ExperimentResult, format_cell, ratio_note
 from repro.exp.server import (
     DEFAULT_CONFIG,
-    SYSTEM_KINDS,
     RunConfig,
     build_system,
     measure_base_p99_us,
@@ -22,7 +21,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "ExperimentResult",
     "RunConfig",
-    "SYSTEM_KINDS",
     "SweepPoint",
     "build_system",
     "find_max_throughput",

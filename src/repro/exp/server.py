@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core.hal import HalSystem
-from repro.core.slb import HostSideSlbSystem, SlbSystem
-from repro.core.static import HostOnlySystem, PlatformSystem, SnicOnlySystem
-from repro.core.systems import ServerSystem
+from repro.core import PLATFORMS, SYSTEM_CLASSES, PlatformSystem, ServerSystem
 from repro.net.traffic import (
     META_TRACES,
     ConstantRateGenerator,
@@ -22,8 +19,6 @@ from repro.net.traffic import (
     TrafficSpec,
 )
 from repro.sim.metrics import RunMetrics
-
-SYSTEM_KINDS = ("host", "snic", "hal", "slb", "host-slb")
 
 #: event-granularity modes: per-packet ground truth vs fluid fast path
 SIM_MODES = ("packet", "flow")
@@ -87,19 +82,13 @@ def build_system(
     common = dict(
         seed=config.seed, functional_rate=config.functional_rate, **kwargs
     )
-    if kind == "host":
-        return HostOnlySystem(function, **common)
-    if kind == "snic":
-        return SnicOnlySystem(function, **common)
-    if kind == "hal":
-        return HalSystem(function, **common)
-    if kind == "slb":
-        return SlbSystem(function, **common)
-    if kind == "host-slb":
-        return HostSideSlbSystem(function, **common)
-    if kind in ("bf2", "bf3", "skylake", "spr"):
+    if kind in PLATFORMS:
         return PlatformSystem(function, platform=kind, **common)
-    raise ValueError(f"unknown system kind {kind!r}; known: {SYSTEM_KINDS}")
+    if kind not in SYSTEM_CLASSES:
+        raise ValueError(
+            f"unknown system kind {kind!r}; known: {(*SYSTEM_CLASSES, *PLATFORMS)}"
+        )
+    return SYSTEM_CLASSES[kind](function, **common)
 
 
 def run_at_rate(

@@ -166,7 +166,9 @@ class RackShard:
     def finish(self, offered_gbps: Any = 0.0) -> Dict[str, Any]:
         """Drain and return the rack's final RunMetrics payload."""
         offered = float(offered_gbps) if offered_gbps is not None else 0.0
-        return self.stepper.finish(offered).to_dict()
+        stepper = self.stepper
+        duration_s = stepper.offered_intervals * self.spec.flow_interval_s
+        return stepper.finish(offered, duration_s).to_dict()
 
 
 def build_rack_shard(spec: RackShardSpec) -> RackShard:

@@ -26,24 +26,19 @@ from repro.cluster.autoscaler import (
     RackAutoscaler,
 )
 from repro.cluster.fronttier import TOR_LATENCY_S
-from repro.cluster.policies import POLICIES, ServerSlot
+from repro.cluster.policies import POLICIES, ServerSlot, member_slots
 from repro.cluster.power import RackPowerConfig, RackPowerModel
-from repro.cluster.system import scaled_trace
+from repro.cluster.system import _member_kinds, rack_snic_share, scaled_trace
 from repro.core.systems import DRAIN_S
 from repro.flow.batch import FlowBatch
 from repro.flow.source import TraceRateSource
-from repro.flow.station import FlowStation
 from repro.flow.system import (
+    FLOW_SYSTEM_CLASSES,
     WINDOW_S,
-    FlowHalSystem,
-    FlowHostOnlySystem,
-    FlowHostSideSlbSystem,
     FlowServerSystem,
-    FlowSlbSystem,
-    FlowSnicOnlySystem,
     fill_reservoir,
 )
-from repro.hw.power import ROLE_SNIC, PowerConfig
+from repro.hw.power import PowerConfig
 from repro.net.addressing import RackAddressPlan
 from repro.sim.engine import Simulator
 from repro.sim.metrics import RunMetrics
@@ -51,27 +46,6 @@ from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:
     from repro.exp.server import RunConfig
-
-_FLOW_MEMBER_CLASSES: Dict[str, type] = {
-    "hal": FlowHalSystem,
-    "slb": FlowSlbSystem,
-    "host": FlowHostOnlySystem,
-    "snic": FlowSnicOnlySystem,
-    "host-slb": FlowHostSideSlbSystem,
-}
-
-
-def _flow_member_kinds(member_kind: str, servers: int) -> List[str]:
-    kinds = [k.strip() for k in member_kind.split(",") if k.strip()]
-    if not kinds:
-        raise ValueError("member_kind cannot be empty")
-    for kind in kinds:
-        if kind not in _FLOW_MEMBER_CLASSES:
-            raise ValueError(
-                f"unknown member kind {kind!r}; known: "
-                f"{sorted(_FLOW_MEMBER_CLASSES)}"
-            )
-    return [kinds[i % len(kinds)] for i in range(servers)]
 
 
 class FlowFrontTier:
@@ -175,12 +149,11 @@ class FlowClusterSystem:
         self.interval_s = interval_s
         self.packet_bytes = packet_bytes
 
-        kinds = _flow_member_kinds(member_kind, servers)
+        kinds = _member_kinds(member_kind, servers, FLOW_SYSTEM_CLASSES)
         self.members: List[FlowServerSystem] = []
         for index, kind in enumerate(kinds):
             instance = f"s{index}"
-            member_cls = _FLOW_MEMBER_CLASSES[kind]
-            member: FlowServerSystem = member_cls(
+            member = FLOW_SYSTEM_CLASSES[kind](
                 function,
                 seed=seed,
                 functional_rate=functional_rate,
@@ -194,14 +167,7 @@ class FlowClusterSystem:
             )
             self.members.append(member)
 
-        self.slots: List[ServerSlot] = []
-        for index, member in enumerate(self.members):
-            slot = ServerSlot(
-                index,
-                self.rack_plan.servers[index],
-                occupancy=self._occupancy_probe(member),
-            )
-            self.slots.append(slot)
+        self.slots = member_slots(self.rack_plan.servers, self.members)
 
         self.front = FlowFrontTier(
             self.slots,
@@ -228,15 +194,6 @@ class FlowClusterSystem:
                 autoscaler_config,
             )
 
-    @staticmethod
-    def _occupancy_probe(member: FlowServerSystem) -> Any:
-        stations = member.engines()
-
-        def probe() -> int:
-            return max(station.rx_queue_occupancy() for station in stations)
-
-        return probe
-
     def total_backlog_packets(self) -> float:
         return sum(member.total_backlog_packets() for member in self.members)
 
@@ -246,108 +203,12 @@ class FlowClusterSystem:
         duration_s: float,
         train_multiplicity: int = 1,
     ) -> RunMetrics:
-        sim = self.sim
-        start = sim.now
-        interval = self.interval_s
-        rates = source.rates(duration_s, interval)
-        drain_end = start + duration_s + DRAIN_S
-        packet_bits = self.packet_bytes * 8
-        state = {"index": 0}
-        generated = {"packets": 0.0}
-        window = {"start": start, "bits": 0.0, "max_gbps": 0.0}
-        frozen: Dict[str, float] = {}
-
-        def delivered_bits() -> float:
-            return sum(member._delivered_bits for member in self.members)
-
-        def tick() -> None:
-            index = state["index"]
-            state["index"] = index + 1
-            offered = index < len(rates)
-            rate = rates[index] if offered else 0.0
-            if offered:
-                generated["packets"] += rate * 1e9 * interval / packet_bits
-            shares = self.front.dispatch(rate, interval, packet_bits)
-            for member, share in zip(self.members, shares):
-                batch = FlowBatch(
-                    start_s=sim.now - interval,
-                    duration_s=interval,
-                    rate_gbps=share,
-                    packet_bytes=self.packet_bytes,
-                )
-                member._tick(batch, train_multiplicity)
-                member.power.update_all()
-            if index == len(rates) - 1:
-                frozen["final_backlog_packets"] = self.total_backlog_packets()
-                if self.autoscaler is not None:
-                    frozen["rack_awake_mean"] = self.autoscaler.awake_mean()
-            elapsed = sim.now - window["start"]
-            if elapsed >= WINDOW_S:
-                bits = delivered_bits()
-                gbps = (bits - window["bits"]) / elapsed / 1e9
-                window["max_gbps"] = max(window["max_gbps"], gbps)
-                window["start"] = sim.now
-                window["bits"] = bits
-
-        stop_tick = sim.every(
-            interval, tick, start=start + interval,
-            priority=Simulator.PRIORITY_NORMAL,
-        )
-        sim.run(until=drain_end)
-        stop_tick()
-        for member in self.members:
-            member.stop()
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
-
-        metrics = self.metrics
-        metrics.offered_gbps = source.offered_gbps
-        metrics.duration_s = duration_s
-        delivered_packets = sum(m._delivered_packets for m in self.members)
-        metrics.delivered_bytes = int(round(delivered_bits() / 8))
-        metrics.delivered_packets = int(round(delivered_packets))
-        metrics.dropped_packets = int(
-            round(sum(m._dropped_packets for m in self.members))
-        )
-        metrics.generated_packets = int(round(generated["packets"]))
-        metrics.average_power_w = self.rack_power.average_watts()
-        metrics.power_breakdown = self.rack_power.breakdown()
-        samples: List[Tuple[float, float]] = []
-        tor = self.front.tor_latency_s
-        for member in self.members:
-            samples.extend(
-                (latency + tor, weight) for latency, weight in member._samples
-            )
-        fill_reservoir(metrics.latency, samples)
-        metrics.snic_share = self._rack_snic_share()
-        extras = metrics.extras
-        extras["max_window_gbps"] = max(
-            window["max_gbps"], metrics.throughput_gbps
-        )
-        extras["servers"] = float(self.servers)
-        extras["front_reroutes"] = float(self.front.reroutes)
-        extras["front_dispatched_gbps"] = self.front.dispatched_gbps(duration_s)
-        extras["final_backlog_packets"] = frozen.get("final_backlog_packets", 0.0)
-        if self.autoscaler is not None:
-            extras["rack_awake_mean"] = frozen.get(
-                "rack_awake_mean", float(self.servers)
-            )
-            extras["rack_wakes"] = float(self.autoscaler.wakes)
-            extras["rack_sleeps"] = float(self.autoscaler.sleeps)
-        return metrics
-
-    def _rack_snic_share(self) -> float:
-        snic_bits = total_bits = 0.0
-        for member in self.members:
-            roles = member.power._role_of
-            for station in member.engines():
-                if station.forward_stage:
-                    continue
-                bits = station.delivered_bits
-                total_bits += bits
-                if roles.get(station.name) == ROLE_SNIC:
-                    snic_bits += bits
-        return snic_bits / total_bits if total_bits > 0 else 0.0
+        """Offer ``source``'s whole rate schedule at once: the one-shot
+        drive of a :class:`RackStepper`."""
+        rates = source.rates(duration_s, self.interval_s)
+        stepper = RackStepper(self, len(rates), train_multiplicity)
+        stepper.push_rates(rates)
+        return stepper.finish(source.offered_gbps, duration_s)
 
 
 def weighted_quantile(samples: List[Tuple[float, float]], q: float) -> float:
@@ -387,15 +248,13 @@ class RackSnapshot:
 
 
 class RackStepper:
-    """Incremental (barrier-steppable) drive for a :class:`FlowClusterSystem`.
+    """The one rack loop of a :class:`FlowClusterSystem`.
 
-    :meth:`FlowClusterSystem.run` consumes a whole rate schedule in one
-    call; the fabric layer instead needs to advance a rack *one epoch at
-    a time* — push the rates the global dispatcher assigned, advance the
-    simulator to the barrier, read the boundary snapshot, repeat.  The
-    stepper mirrors ``run``'s tick loop exactly (same dispatch, same
-    member ticks, same window/frozen bookkeeping) but exposes it as
-    push/advance/snapshot/finish so a parent process can drive it.
+    Both drives of a flow rack run this loop.  :meth:`FlowClusterSystem.run`
+    pushes a whole rate schedule and finishes; the fabric layer instead
+    advances a rack *one epoch at a time* — push the rates the global
+    dispatcher assigned, advance the simulator to the barrier, read the
+    boundary snapshot, repeat — so a parent process can drive it.
 
     Rates not yet pushed read as 0.0 (idle), so a tick that drifts past a
     barrier by float accumulation is harmless — it sees the same rate at
@@ -431,7 +290,7 @@ class RackStepper:
             priority=Simulator.PRIORITY_NORMAL,
         )
 
-    # -- data-plane tick (mirrors FlowClusterSystem.run) ----------------
+    # -- data-plane tick ------------------------------------------------
 
     def _delivered_bits(self) -> float:
         return sum(member._delivered_bits for member in self.cluster.members)
@@ -493,12 +352,6 @@ class RackStepper:
     def snapshot(self) -> RackSnapshot:
         """Cumulative boundary counters at the current simulator time."""
         cluster = self.cluster
-        rxq = 0
-        for member in cluster.members:
-            for station in member.engines():
-                occupancy = station.rx_queue_occupancy()
-                if occupancy > rxq:
-                    rxq = occupancy
         awake = float(cluster.servers)
         if cluster.autoscaler is not None:
             awake = float(cluster.autoscaler.active_count())
@@ -510,7 +363,7 @@ class RackStepper:
             delivered_packets=self._delivered_packets(),
             dropped_packets=self._dropped_packets(),
             backlog_packets=cluster.total_backlog_packets(),
-            rxq_occupancy=rxq,
+            rxq_occupancy=max(slot.occupancy() for slot in cluster.slots),
             awake=awake,
             energy_j=cluster.rack_power.average_watts() * now_s,
         )
@@ -549,19 +402,19 @@ class RackStepper:
                     out["waking"] += 1.0
         return out
 
-    def finish(self, offered_gbps: float) -> RunMetrics:
+    def finish(self, offered_gbps: float, duration_s: float) -> RunMetrics:
         """Drain, stop the control plane, assemble the rack's metrics.
 
-        Mirrors the tail of :meth:`FlowClusterSystem.run`: the measured
-        duration is ``offered_intervals * interval_s`` plus the standard
-        drain window.
+        ``duration_s`` is the measured (offered) duration; the simulator
+        runs to ``duration_s`` past the start plus the standard drain
+        window.  Callers pass the duration they scheduled, not one rebuilt
+        from the interval count, because the two differ in floating point.
         """
         if self._finished:
             raise RuntimeError("stepper already finished")
         self._finished = True
         cluster = self.cluster
         sim = cluster.sim
-        duration_s = self.offered_intervals * cluster.interval_s
         sim.run(until=self._start_s + duration_s + DRAIN_S)
         self._stop_tick()
         for member in cluster.members:
@@ -585,7 +438,7 @@ class RackStepper:
                 (latency + tor_s, weight) for latency, weight in member._samples
             )
         fill_reservoir(metrics.latency, samples)
-        metrics.snic_share = cluster._rack_snic_share()
+        metrics.snic_share = rack_snic_share(cluster.members)
         extras = metrics.extras
         extras["max_window_gbps"] = max(
             self._max_window_gbps, metrics.throughput_gbps

@@ -17,7 +17,7 @@ energy-per-request is directly comparable across modes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Any, Dict, List, Optional, TYPE_CHECKING, Tuple, Type
 
 from repro.core.hlb import HLB_LATENCY_S, TrafficDirector
 from repro.core.lbp import (
@@ -30,6 +30,7 @@ from repro.core.slb import (
     SLB_SERVICE_JITTER,
     _forward_profile,
 )
+from repro.core.static import PLATFORMS, SNIC_PLATFORMS
 from repro.core.systems import DRAIN_S
 from repro.flow.batch import FlowBatch
 from repro.flow.source import ConstantRateSource, TraceRateSource
@@ -70,18 +71,18 @@ class FlowPowerModel:
         self.config = config if config is not None else PowerConfig()
         self.integrator = PowerIntegrator(start_time=sim.now)
         self.server_asleep = False
-        self._roles: Dict[str, Tuple[FlowStation, str]] = {}
-        self._role_of: Dict[str, str] = {}
+        self._stations: List[FlowStation] = []
+        self._roles: Dict[str, str] = {}
         self.integrator.set_level("idle", self.config.system_idle_w, sim.now)
 
     def track(self, station: FlowStation, role: str) -> None:
-        self._roles[station.name] = (station, role)
-        self._role_of[station.name] = role
+        self._stations.append(station)
+        self._roles[station.name] = role
         station._on_power_change = lambda st: self.update(st)
         self.update(station)
 
     def update(self, station: FlowStation) -> None:
-        role = self._roles[station.name][1]
+        role = self._roles[station.name]
         busy = 0.0 if station.sleeping else station.utilization
         watts = station.dynamic_power_w * busy
         if role == ROLE_HOST and not station.sleeping:
@@ -89,7 +90,7 @@ class FlowPowerModel:
         self.integrator.set_level(station.name, watts, self.sim.now)
 
     def update_all(self) -> None:
-        for station, _role in self._roles.values():
+        for station in self._stations:
             self.update(station)
 
     def set_constant(self, component: str, watts: float) -> None:
@@ -115,7 +116,7 @@ class FlowPowerModel:
     def snic_host_split(self) -> Tuple[float, float]:
         now = self.sim.now
         snic = host = 0.0
-        for name, role in self._role_of.items():
+        for name, role in self._roles.items():
             watts = self.integrator.average_watts(now, name)
             if role == ROLE_SNIC:
                 snic += watts
@@ -323,56 +324,19 @@ def fill_reservoir(
 # -- concrete kinds ------------------------------------------------------
 
 
-class FlowHostOnlySystem(FlowServerSystem):
-    kind = "host"
-
-    def _build(self) -> None:
-        profile = host_engine_profile(self.function)
-        self.engine = FlowStation(
-            profile,
-            name=self.engine_prefix + profile.name,
-            delivery_latency_s=host_delivery_latency_s(),
-        )
-        self.power.track(self.engine, ROLE_HOST)
-
-    def _tick(self, batch: FlowBatch, train_multiplicity: int) -> None:
-        self._advance(self.engine, batch, train_multiplicity)
-
-
-class FlowSnicOnlySystem(FlowServerSystem):
-    kind = "snic"
-
-    def __init__(self, function: str, generation: str = "bf2", **kwargs: Any) -> None:
-        self.generation = generation
-        super().__init__(function, **kwargs)
-
-    def _build(self) -> None:
-        profile = snic_engine_profile(self.function, self.generation)
-        self.engine = FlowStation(
-            profile,
-            name=self.engine_prefix + profile.name,
-            delivery_latency_s=snic_delivery_latency_s(),
-        )
-        self.power.track(self.engine, ROLE_SNIC)
-
-    def _tick(self, batch: FlowBatch, train_multiplicity: int) -> None:
-        self._advance(self.engine, batch, train_multiplicity)
-
-    def _finalize(self) -> None:
-        self.metrics.snic_share = 1.0
-
-
 class FlowPlatformSystem(FlowServerSystem):
+    """One station built from a named platform's profile (Fig. 10)."""
+
     kind = "platform"
 
     def __init__(self, function: str, platform: str, **kwargs: Any) -> None:
-        if platform not in ("bf2", "bf3", "skylake", "spr"):
+        if platform not in PLATFORMS:
             raise ValueError(f"unknown platform {platform!r}")
         self.platform = platform
         super().__init__(function, **kwargs)
 
     def _build(self) -> None:
-        if self.platform in ("bf2", "bf3"):
+        if self.platform in SNIC_PLATFORMS:
             profile = snic_engine_profile(self.function, self.platform)
             delivery = snic_delivery_latency_s()
             role = ROLE_SNIC
@@ -389,6 +353,29 @@ class FlowPlatformSystem(FlowServerSystem):
 
     def _tick(self, batch: FlowBatch, train_multiplicity: int) -> None:
         self._advance(self.engine, batch, train_multiplicity)
+
+    def _finalize(self) -> None:
+        if self.platform in SNIC_PLATFORMS:
+            # every delivered bit was processed on the SNIC
+            self.metrics.snic_share = 1.0
+
+
+class FlowHostOnlySystem(FlowPlatformSystem):
+    """Every train to the host processor (the baseline Skylake engine)."""
+
+    kind = "host"
+
+    def __init__(self, function: str, **kwargs: Any) -> None:
+        super().__init__(function, platform="skylake", **kwargs)
+
+
+class FlowSnicOnlySystem(FlowPlatformSystem):
+    """Every train to the SNIC processor (the baseline BlueField-2 engine)."""
+
+    kind = "snic"
+
+    def __init__(self, function: str, **kwargs: Any) -> None:
+        super().__init__(function, platform="bf2", **kwargs)
 
 
 class FlowHalSystem(FlowServerSystem):
@@ -637,7 +624,16 @@ class FlowHostSideSlbSystem(FlowServerSystem):
 
 # -- construction + run helpers ------------------------------------------
 
-FLOW_SYSTEM_KINDS = ("host", "snic", "hal", "slb", "host-slb")
+#: system kind → flow-mode class, the counterpart of
+#: :data:`repro.core.SYSTEM_CLASSES` (platform kinds build a
+#: :class:`FlowPlatformSystem` instead)
+FLOW_SYSTEM_CLASSES: Dict[str, Type[FlowServerSystem]] = {
+    "host": FlowHostOnlySystem,
+    "snic": FlowSnicOnlySystem,
+    "hal": FlowHalSystem,
+    "slb": FlowSlbSystem,
+    "host-slb": FlowHostSideSlbSystem,
+}
 
 
 def build_flow_system(
@@ -654,21 +650,14 @@ def build_flow_system(
         packet_bytes=config.packet_bytes,
         **kwargs,
     )
-    if kind == "host":
-        return FlowHostOnlySystem(function, **common)
-    if kind == "snic":
-        return FlowSnicOnlySystem(function, **common)
-    if kind == "hal":
-        return FlowHalSystem(function, **common)
-    if kind == "slb":
-        return FlowSlbSystem(function, **common)
-    if kind == "host-slb":
-        return FlowHostSideSlbSystem(function, **common)
-    if kind in ("bf2", "bf3", "skylake", "spr"):
+    if kind in PLATFORMS:
         return FlowPlatformSystem(function, platform=kind, **common)
-    raise ValueError(
-        f"unknown system kind {kind!r}; known: {FLOW_SYSTEM_KINDS}"
-    )
+    if kind not in FLOW_SYSTEM_CLASSES:
+        raise ValueError(
+            f"unknown system kind {kind!r}; known: "
+            f"{(*FLOW_SYSTEM_CLASSES, *PLATFORMS)}"
+        )
+    return FLOW_SYSTEM_CLASSES[kind](function, **common)
 
 
 def run_at_rate_flow(

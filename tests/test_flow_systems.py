@@ -1,19 +1,44 @@
 """Tests for the flow-mode systems layer and its packet-mode agreement."""
 
 import json
+import pathlib
 
 import pytest
 
-from repro.cluster.system import run_rack
+from repro.bench import flow_rack_smoke_specs, payload_sha256
+from repro.cluster.system import run_rack, scaled_trace
+from repro.core import SYSTEM_CLASSES
 from repro.exp.server import RunConfig, run_at_rate, run_trace
+from repro.flow.cluster import FlowClusterSystem, RackStepper
 from repro.flow.source import ConstantRateSource, TraceRateSource
-from repro.flow.system import build_flow_system
+from repro.flow.system import FLOW_SYSTEM_CLASSES, build_flow_system
 from repro.flow.validate import compare_cell
 
 FLOW = RunConfig(duration_s=0.02, sim_mode="flow")
 PACKET = RunConfig(duration_s=0.02, sim_mode="packet")
 
 ALL_KINDS = ("host", "snic", "hal", "slb", "host-slb")
+
+BASELINE = pathlib.Path(__file__).parent.parent / "benchmarks" / "baseline.json"
+FLOW_RACK_PINS = json.loads(BASELINE.read_text())["identity"][
+    "flow_rack_payload_sha256"
+]
+
+
+def _flow_rack(interval_s):
+    """A 2-server HAL flow rack on the web trace, built as run_rack builds
+    it; returns the rack, its rate source, the duration and multiplicity."""
+    config = RunConfig(duration_s=0.05, sim_mode="flow", flow_interval_s=interval_s)
+    trace = scaled_trace("web", 2)
+    cluster = FlowClusterSystem(
+        "hal", "nat", servers=2, seed=config.seed, interval_s=interval_s
+    )
+    traffic = config.spec(trace.average_gbps * 3)
+    source = TraceRateSource(
+        trace, cluster.rng, cluster.plan, traffic,
+        trace_interval_s=config.trace_interval_s, line_rate_gbps=200.0,
+    )
+    return cluster, source, config.duration_s, traffic.batch
 
 
 class TestFlowSystems:
@@ -94,6 +119,63 @@ class TestFlowRack:
         assert json.dumps(runs[0].to_dict(), sort_keys=True) == json.dumps(
             runs[1].to_dict(), sort_keys=True
         )
+
+    def test_unknown_member_kind_rejected(self):
+        with pytest.raises(ValueError):
+            FlowClusterSystem("hal,warp", "nat", servers=2)
+
+    @pytest.mark.parametrize("cell", sorted(flow_rack_smoke_specs()))
+    def test_payload_matches_pinned_sha(self, cell):
+        spec = flow_rack_smoke_specs()[cell]
+        assert payload_sha256(spec) == FLOW_RACK_PINS[cell]
+
+    @pytest.mark.parametrize("interval_s", [100e-6, 1e-3])
+    def test_epoch_stepping_matches_one_shot_run(self, interval_s):
+        """The fabric's drive (push one epoch of rates, advance to its
+        barrier, repeat, finish) gives the bytes of a one-shot run."""
+        cluster, source, duration_s, multiplicity = _flow_rack(interval_s)
+        one_shot = cluster.run(source, duration_s, multiplicity)
+
+        cluster, source, duration_s, multiplicity = _flow_rack(interval_s)
+        rates = source.rates(duration_s, interval_s)
+        stepper = RackStepper(cluster, len(rates), multiplicity)
+        per_epoch = round(0.02 / interval_s)
+        for epoch, first in enumerate(range(0, len(rates), per_epoch), 1):
+            stepper.push_rates(rates[first:first + per_epoch])
+            stepper.advance_to(epoch * per_epoch * interval_s)
+        stepped = stepper.finish(source.offered_gbps, duration_s)
+
+        assert json.dumps(stepped.to_dict(), sort_keys=True) == json.dumps(
+            one_shot.to_dict(), sort_keys=True
+        )
+
+
+class TestKindTables:
+    def test_modes_share_one_kind_set(self):
+        assert list(FLOW_SYSTEM_CLASSES) == list(SYSTEM_CLASSES)
+        for kind in SYSTEM_CLASSES:
+            assert SYSTEM_CLASSES[kind].kind == kind
+            assert FLOW_SYSTEM_CLASSES[kind].kind == kind
+
+    @pytest.mark.parametrize("mode", ["packet", "flow"])
+    @pytest.mark.parametrize(
+        "kind, share",
+        [
+            ("snic", 1.0),
+            ("bf2", 1.0),
+            ("bf3", 1.0),
+            ("host", 0.0),
+            ("skylake", 0.0),
+            ("spr", 0.0),
+        ],
+    )
+    def test_single_engine_snic_share(self, mode, kind, share):
+        """Every bit a single-engine system delivers ran on that engine's
+        side of PCIe, in both modes."""
+        config = RunConfig(duration_s=0.01, sim_mode=mode)
+        metrics = run_at_rate(kind, "nat", 10.0, config)
+        assert metrics.delivered_packets > 0
+        assert metrics.snic_share == share
 
 
 class TestModeAgreement:
