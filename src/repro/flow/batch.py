@@ -12,7 +12,7 @@ reach datacenter scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence
 
 
@@ -58,7 +58,9 @@ class FlowBatch:
         decision applied to the whole envelope, e.g. the HLB director)."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"split fraction must be in [0, 1] (got {fraction})")
-        return replace(self, rate_gbps=self.rate_gbps * fraction)
+        return FlowBatch(
+            self.start_s, self.duration_s, self.rate_gbps * fraction, self.packet_bytes
+        )
 
 
 def batch_train(

@@ -1,10 +1,15 @@
 """Unit tests for the traffic generators."""
 
+import math
+
 import pytest
 
+from repro.net import traffic
 from repro.net.addressing import AddressPlan
 from repro.net.traffic import (
+    DIURNAL_PHASES,
     META_TRACES,
+    LogNormalSpec,
     ConstantRateGenerator,
     LogNormalTraceGenerator,
     PoissonGenerator,
@@ -156,3 +161,108 @@ class TestLogNormal:
             LogNormalTraceGenerator(
                 PLAN, TrafficSpec(), RngRegistry(1), META_TRACES["web"], interval_s=0
             )
+
+
+def reference_fit(spec, rng, line_rate_gbps=100.0, samples=4096):
+    """The plain 200-step bisection ``fit_lognormal_scale`` must reproduce."""
+    stream = rng.stream(f"lognormal-fit-{spec.name}")
+    draws = [math.exp(spec.mu + spec.sigma * stream.gauss(0.0, 1.0)) for _ in range(samples)]
+
+    def clipped_mean(scale):
+        return sum(min(scale * d, line_rate_gbps) for d in draws) / len(draws)
+
+    lo, hi = 1e-12, 1e12
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if clipped_mean(mid) < spec.average_gbps:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+#: the fabric's 4x4 fleet: line rate and phase averages scale by 16 servers
+FABRIC_SERVERS = 16
+
+
+def fit_cases(seed):
+    """One (spec, line rate, samples) cell per trace, the variant rotating
+    with the seed: the 100 Gbps port, the fabric's single-trace and mixed
+    diurnal phases at 1600 Gbps, and a sample count that is no power of two."""
+    mix_weight = {phase.trace: phase.weight for phase in DIURNAL_PHASES["mix"]}
+    for name, base in sorted(META_TRACES.items()):
+        variant = seed % 4
+        weight = mix_weight[name] if variant == 2 else 1.0
+        fabric = variant in (1, 2)
+        spec = LogNormalSpec(
+            name,
+            mu=base.mu,
+            sigma=base.sigma,
+            average_gbps=base.average_gbps * (weight * FABRIC_SERVERS if fabric else 1.0),
+        )
+        line_rate = 100.0 * FABRIC_SERVERS if fabric else 100.0
+        samples = 2000 if variant == 3 else 4096
+        yield spec, line_rate, samples
+
+
+class TestFitLogNormalScale:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bit_identical_to_reference(self, seed, monkeypatch):
+        evaluations = []
+        clipped_mean = traffic._clipped_mean
+
+        def counting(*args):
+            evaluations.append(args[0])
+            return clipped_mean(*args)
+
+        monkeypatch.setattr(traffic, "_clipped_mean", counting)
+        for spec, line_rate, samples in fit_cases(seed):
+            evaluations.clear()
+            got = fit_lognormal_scale(spec, RngRegistry(seed), line_rate, samples)
+            expected = reference_fit(spec, RngRegistry(seed), line_rate, samples)
+            assert got == expected, (spec, line_rate, samples)
+            assert len(evaluations) <= 60
+
+    def test_pinned_seed7_scales(self):
+        scales = {
+            name: repr(fit_lognormal_scale(spec, RngRegistry(7)))
+            for name, spec in META_TRACES.items()
+        }
+        assert scales == {
+            "cache": "1.4494618004571218",
+            "hadoop": "0.5580929936508512",
+            "web": "1.0516429242617489",
+        }
+
+    @pytest.mark.parametrize("name", sorted(META_TRACES))
+    def test_fixed_point_stop_alone_is_exact(self, name, monkeypatch):
+        monkeypatch.setattr(
+            traffic, "_certain_bracket", lambda *args: (0.0, math.inf)
+        )
+        spec = META_TRACES[name]
+        assert fit_lognormal_scale(spec, RngRegistry(7), samples=2000) == (
+            reference_fit(spec, RngRegistry(7), samples=2000)
+        )
+
+    @pytest.mark.parametrize("name", sorted(META_TRACES))
+    def test_bracket_decides_the_comparison(self, name):
+        spec = META_TRACES[name]
+        rng = RngRegistry(11)
+        stream = rng.stream("draws")
+        draws = [
+            math.exp(spec.mu + spec.sigma * stream.gauss(0.0, 1.0)) for _ in range(4096)
+        ]
+        below, above = traffic._certain_bracket(draws, spec.average_gbps, 100.0)
+        assert 0.0 < below < above < math.inf
+        for scale in (below, below * (1 - 1e-9), below / 2):
+            assert traffic._clipped_mean(scale, draws, 100.0) < spec.average_gbps
+        for scale in (above, above * (1 + 1e-9), above * 2):
+            assert traffic._clipped_mean(scale, draws, 100.0) > spec.average_gbps
+
+    def test_bracket_falls_back_when_all_draws_vanish(self):
+        assert traffic._certain_bracket([0.0] * 8, 1.0, 100.0) == (0.0, math.inf)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_non_positive_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            fit_lognormal_scale(META_TRACES["web"], RngRegistry(1), samples=samples)
