@@ -130,11 +130,14 @@ class TrafficDirector:
     def fwd_threshold_gbps(self) -> float:
         return self._fwd_threshold_gbps
 
-    def set_threshold(self, gbps: float) -> None:
-        """Update ``Fwd_Th`` — the memory-mapped register LBP writes."""
+    def set_threshold(self, gbps: float, now: Optional[float] = None) -> None:
+        """Update ``Fwd_Th`` — the memory-mapped register LBP writes.
+
+        ``now`` is the time of the write (default: the simulator clock);
+        a policy evaluating a past tick passes that tick's time."""
         if gbps < 0:
             raise ValueError("threshold cannot be negative")
-        self._refill()
+        self._refill(self.sim.now if now is None else now)
         self._fwd_threshold_gbps = gbps
         self._tokens_bits = min(self._tokens_bits, self._bucket_capacity_bits())
 
@@ -149,8 +152,7 @@ class TrafficDirector:
             self.MIN_BUCKET_BITS,
         )
 
-    def _refill(self) -> None:
-        now = self.sim.now
+    def _refill(self, now: float) -> None:
         elapsed = now - self._last_refill
         if elapsed > 0:
             self._tokens_bits = min(
@@ -161,7 +163,7 @@ class TrafficDirector:
 
     def direct(self, packet: Packet) -> Packet:
         """Decide SNIC vs host for one packet, rewriting if redirected."""
-        self._refill()
+        self._refill(self.sim.now)
         bits = packet.wire_bits
         if bits <= self._tokens_bits:
             self._tokens_bits -= bits

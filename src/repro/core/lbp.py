@@ -15,6 +15,14 @@ Runs on one SNIC CPU core, periodically:
 The adaptive variant the paper sketches ("further optimize Algorithm 1
 ... by adaptively changing Step_Th") scales the step with how far the
 occupancy sits outside the watermark band.
+
+Ticks are kept by a cursor (:attr:`LoadBalancingPolicy.next_tick_s`)
+and evaluated by :meth:`LoadBalancingPolicy.advance_to`.  Packet mode
+drives it from a simulator recurrence, one heap event per tick.  Flow
+mode calls it from the station tick instead: the inputs Algorithm 1
+reads only change when a station advances, so the ticks since the last
+advance can be evaluated on demand, each at its own time, with the same
+results and no heap events.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Callable, List, Optional
 from repro.core.hlb import TrafficDirector
 from repro.hw.dpdk import ThroughputEstimator, rx_queue_max_occupancy
 from repro.hw.platform import ProcessingEngine
-from repro.sim.engine import Simulator
+from repro.sim.engine import RecurrenceHandle, Simulator
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,7 @@ class LoadBalancingPolicy:
         config: Optional[LbpConfig] = None,
         on_update: Optional[Callable[[float], None]] = None,
         tracer: Optional[object] = None,
+        recurring: bool = True,
     ) -> None:
         self.sim = sim
         self.engine = snic_engine
@@ -99,15 +108,54 @@ class LoadBalancingPolicy:
         self.adjustments_down = 0
         self.threshold_history: List[float] = [director.fwd_threshold_gbps]
         #: Algorithm-1 decision trace, populated only when a tracer is set
+        # lint: disable=SNAP01 observer output like the tracer itself; no decision reads it
         self.decisions: List[LbpDecision] = []
-        self._stop = sim.every(config.period_s, self._tick)
+        #: time of the next tick not yet evaluated; stepped by the same
+        #: float addition as ``Simulator.every``, so tick times are bit-equal
+        #: whether a recurrence or :meth:`advance_to` evaluates them
+        self.next_tick_s = sim.now + config.period_s
+        #: time of the tick being evaluated; None outside :meth:`advance_to`
+        # lint: disable=SNAP01 transient; always None at a barrier, where walkers run
+        self._tick_s: Optional[float] = None
+        #: packet mode: one heap event per tick; flow mode (``recurring``
+        #: False): the owner calls :meth:`advance_to` before it reads state
+        self._stop: Optional[RecurrenceHandle] = (
+            sim.every(config.period_s, self._tick) if recurring else None
+        )
 
     def _tick(self) -> None:
-        snic_tp = self._estimator.sample(self.sim.now)
-        self.set_forward_rate(snic_tp)
+        self.advance_to(self.sim.now)
+
+    def advance_to(self, now: float) -> None:
+        """Evaluate, in order, every tick due at or before ``now``.
+
+        Each tick samples SNIC_TP at its own time and makes one
+        :meth:`set_forward_rate` call.  When no bits were delivered since
+        the last sample the estimate is exactly 0.0, so the sample is
+        skipped and only its timestamp moves.
+        """
+        t = self.next_tick_s
+        period = self.config.period_s
+        estimator = self._estimator
+        engine = self.engine
+        while t <= now:
+            self._tick_s = t
+            if engine.delivered_bits == estimator._last_bits:
+                estimator._last_time = t
+                snic_tp = 0.0
+            else:
+                snic_tp = estimator.sample(t)
+            self.set_forward_rate(snic_tp)
+            t = t + period
+            self.next_tick_s = t
+        self._tick_s = None
 
     def set_forward_rate(self, snic_tp_gbps: float) -> None:
-        """One Algorithm 1 evaluation with the given SNIC_TP estimate."""
+        """One Algorithm 1 evaluation with the given SNIC_TP estimate,
+        at the time of the tick being evaluated (else the current time)."""
+        now = self._tick_s
+        if now is None:
+            now = self.sim.now
         cfg = self.config
         fwd_th = old_th = self.director.fwd_threshold_gbps
         occupancy = -1  # not inspected (the "idle" early-out)
@@ -138,15 +186,18 @@ class LoadBalancingPolicy:
             else:
                 direction = "hold"
             if direction != "hold":
-                self.director.set_threshold(fwd_th)
+                self.director.set_threshold(fwd_th, now)
                 self.threshold_history.append(fwd_th)
                 if self.on_update is not None:
                     self.on_update(fwd_th)
         if self.tracer is not None:
-            self._trace_decision(snic_tp_gbps, occupancy, old_th, fwd_th, direction)
+            self._trace_decision(
+                now, snic_tp_gbps, occupancy, old_th, fwd_th, direction
+            )
 
     def _trace_decision(  # lint: disable=OBS01 caller holds the single is-not-None branch
         self,
+        now: float,
         snic_tp_gbps: float,
         occupancy: int,
         old_th: float,
@@ -160,7 +211,6 @@ class LoadBalancingPolicy:
         read — no simulated state changes)."""
         if occupancy < 0:
             occupancy = rx_queue_max_occupancy(self.engine)
-        now = self.sim.now
         self.decisions.append(
             LbpDecision(now, snic_tp_gbps, occupancy, old_th, new_th, direction)
         )
@@ -181,7 +231,8 @@ class LoadBalancingPolicy:
         tracer.counter("lbp", "rxq_occ_packets", now, occupancy)
 
     def stop(self) -> None:
-        self._stop()
+        if self._stop is not None:
+            self._stop()
 
 
 def profiled_initial_threshold(slo_gbps: float, headroom: float = 1.0) -> float:

@@ -186,7 +186,8 @@ class FlowServerSystem:
         """Stamp subclass extras after the run (threshold, shares, ...)."""
 
     def stop(self) -> None:
-        """Cancel periodic control processes (LBP ticks etc.)."""
+        """Finish periodic control processes (LBP ticks etc.) at the
+        current time."""
 
     def engines(self) -> List[FlowStation]:
         """Every station, in build order (autoscaler/capacity surface)."""
@@ -313,12 +314,14 @@ def fill_reservoir(
     position = 0
     cumulative = ordered[0][1]
     last = len(ordered) - 1
+    values: List[float] = []
     for k in range(count):
         target = (k + 0.5) * total_weight / count
         while cumulative < target and position < last:
             position += 1
             cumulative += ordered[position][1]
-        reservoir.record(ordered[position][0])
+        values.append(ordered[position][0])
+    reservoir.record_many(values)
 
 
 # -- concrete kinds ------------------------------------------------------
@@ -419,15 +422,21 @@ class FlowHalSystem(FlowServerSystem):
         self.power.track(self.host_engine, ROLE_HOST)
         self.power.set_constant("hlb", self.power.config.hlb_fpga_w)
         self.director = TrafficDirector(self.sim, self.plan, threshold)
+        # station-clocked: Algorithm 1's inputs only change when a station
+        # advances, so _tick catches the policy up instead of the heap
+        # carrying one event per tick
         self.lbp = LoadBalancingPolicy(
-            self.sim, self.snic_engine, self.director, config=self.lbp_config
+            self.sim, self.snic_engine, self.director, config=self.lbp_config,
+            recurring=False,
         )
         self._merged_packets = 0.0
 
     def stop(self) -> None:
+        self.lbp.advance_to(self.sim.now)
         self.lbp.stop()
 
     def _tick(self, batch: FlowBatch, train_multiplicity: int) -> None:
+        self.lbp.advance_to(self.sim.now)
         threshold = self.director.fwd_threshold_gbps
         rate = batch.rate_gbps
         snic_fraction = 1.0 if rate <= threshold else threshold / rate

@@ -11,6 +11,13 @@ seq counter therefore reproduces the identical event sequence, and with
 identical component state and RNG streams the resumed run is
 byte-identical to the uninterrupted one.
 
+The timers are the rack tick, the autoscaler tick and pending wakes.
+Algorithm 1 is not among them: a flow-mode policy is station-clocked
+(:meth:`repro.core.lbp.LoadBalancingPolicy.advance_to`), so its tick
+cursor ``next_tick_s`` is component state, and ticks still pending
+since the last station advance are evaluated after the resume exactly
+as they would have been without it.
+
 The two entry points are module-level functions with the
 ``(shard, arg)`` signature :meth:`repro.runner.sharded.ShardedRunner.apply`
 resolves by dotted path, so the parent process can snapshot and restore
@@ -33,6 +40,7 @@ from dataclasses import asdict
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.autoscaler import RackAutoscaler
+from repro.core.lbp import LoadBalancingPolicy
 from repro.fabric.shard import RackShard
 from repro.flow.cluster import RackSnapshot
 from repro.flow.station import FlowStation
@@ -40,7 +48,6 @@ from repro.sim.engine import Simulator
 
 #: timer-record kinds, in the vocabulary of :func:`_collect_timers`
 _TIMER_STEPPER = "stepper_tick"
-_TIMER_LBP = "lbp_tick"
 _TIMER_AUTOSCALER = "autoscaler_tick"
 _TIMER_WAKE = "wake"
 
@@ -89,6 +96,28 @@ def _restore_station(station: FlowStation, state: Dict[str, Any]) -> None:
     station._in_pipeline = list(state["in_pipeline"])
 
 
+def _lbp_state(lbp: LoadBalancingPolicy) -> Dict[str, Any]:
+    # no timer: a flow-mode policy is station-clocked, so its tick cursor
+    # is all the phase there is
+    return {
+        "adjustments_up": lbp.adjustments_up,
+        "adjustments_down": lbp.adjustments_down,
+        "threshold_history": list(lbp.threshold_history),
+        "estimator_last_bits": lbp._estimator._last_bits,
+        "estimator_last_time": lbp._estimator._last_time,
+        "next_tick_s": lbp.next_tick_s,
+    }
+
+
+def _restore_lbp(lbp: LoadBalancingPolicy, state: Dict[str, Any]) -> None:
+    lbp.adjustments_up = state["adjustments_up"]
+    lbp.adjustments_down = state["adjustments_down"]
+    lbp.threshold_history = list(state["threshold_history"])
+    lbp._estimator._last_bits = state["estimator_last_bits"]
+    lbp._estimator._last_time = state["estimator_last_time"]
+    lbp.next_tick_s = state["next_tick_s"]
+
+
 def _member_state(member: Any) -> Dict[str, Any]:
     state: Dict[str, Any] = {
         "kind": member.kind,
@@ -105,13 +134,7 @@ def _member_state(member: Any) -> Dict[str, Any]:
     }
     lbp = getattr(member, "lbp", None)
     if lbp is not None:
-        state["lbp"] = {
-            "adjustments_up": lbp.adjustments_up,
-            "adjustments_down": lbp.adjustments_down,
-            "threshold_history": list(lbp.threshold_history),
-            "estimator_last_bits": lbp._estimator._last_bits,
-            "estimator_last_time": lbp._estimator._last_time,
-        }
+        state["lbp"] = _lbp_state(lbp)
     director = getattr(member, "director", None)
     if director is not None:
         state["director"] = {
@@ -149,13 +172,7 @@ def _restore_member(member: Any, state: Dict[str, Any]) -> None:
     for station, station_state in zip(stations, state["stations"]):
         _restore_station(station, station_state)
     if "lbp" in state:
-        lbp = member.lbp
-        lbp_state = state["lbp"]
-        lbp.adjustments_up = lbp_state["adjustments_up"]
-        lbp.adjustments_down = lbp_state["adjustments_down"]
-        lbp.threshold_history = list(lbp_state["threshold_history"])
-        lbp._estimator._last_bits = lbp_state["estimator_last_bits"]
-        lbp._estimator._last_time = lbp_state["estimator_last_time"]
+        _restore_lbp(member.lbp, state["lbp"])
     if "director" in state:
         director = member.director
         director_state = state["director"]
@@ -172,13 +189,11 @@ def _restore_member(member: Any, state: Dict[str, Any]) -> None:
 
 
 def _timer_record(
-    kind: str, time: Optional[float], seq: Optional[int], **extra: Any
+    kind: str, time: Optional[float], seq: Optional[int]
 ) -> Optional[Dict[str, Any]]:
     if time is None or seq is None:
         return None
-    record: Dict[str, Any] = {"kind": kind, "time": time, "seq": seq}
-    record.update(extra)
-    return record
+    return {"kind": kind, "time": time, "seq": seq}
 
 
 def _collect_timers(shard: RackShard) -> List[Dict[str, Any]]:
@@ -189,16 +204,6 @@ def _collect_timers(shard: RackShard) -> List[Dict[str, Any]]:
     record = _timer_record(_TIMER_STEPPER, tick.next_time, tick.next_seq)
     if record is not None:
         timers.append(record)
-    for position, member in enumerate(shard.cluster.members):
-        lbp = getattr(member, "lbp", None)
-        if lbp is None:
-            continue
-        record = _timer_record(
-            _TIMER_LBP, lbp._stop.next_time, lbp._stop.next_seq,
-            member=position,
-        )
-        if record is not None:
-            timers.append(record)
     autoscaler = shard.cluster.autoscaler
     if autoscaler is not None:
         record = _timer_record(
@@ -241,10 +246,6 @@ def _rearm_timers(shard: RackShard, timers: List[Dict[str, Any]]) -> None:
                 start=when,
                 priority=Simulator.PRIORITY_NORMAL,
             )
-        elif kind == _TIMER_LBP:
-            member = cluster.members[int(record["member"])]
-            lbp = member.lbp
-            lbp._stop = sim.every(lbp.config.period_s, lbp._tick, start=when)
         elif kind == _TIMER_AUTOSCALER:
             if autoscaler is None:
                 raise ValueError("snapshot has an autoscaler tick; shard has none")
@@ -266,10 +267,6 @@ def _stop_fresh_timers(shard: RackShard) -> None:
     """Mark the fresh shard's construction-time recurrences stopped so a
     stale ``fire`` closure can never re-schedule after the heap clear."""
     shard.stepper._stop_tick.stop()
-    for member in shard.cluster.members:
-        lbp = getattr(member, "lbp", None)
-        if lbp is not None:
-            lbp._stop.stop()
     if shard.cluster.autoscaler is not None:
         shard.cluster.autoscaler._stop.stop()
 

@@ -43,6 +43,15 @@ class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation engine."""
 
 
+def _cancel(event: List[Any], sim: "Simulator") -> None:
+    """Cancel a pending event; a no-op if it already fired or was cancelled."""
+    if event[_STATUS] != _PENDING:
+        return
+    event[_STATUS] = _CANCELLED
+    event[_CALLBACK] = event[_ARGS] = None  # release references early
+    sim._note_cancelled(1)
+
+
 class EventHandle:
     """Handle to a scheduled event, allowing cancellation."""
 
@@ -75,12 +84,7 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already fired or was cancelled."""
-        event = self._event
-        if event[_STATUS] != _PENDING:
-            return
-        event[_STATUS] = _CANCELLED
-        event[_CALLBACK] = event[_ARGS] = None  # release references early
-        self._sim._note_cancelled(1)
+        _cancel(self._event, self._sim)
 
 
 class BatchHandle:
@@ -120,25 +124,30 @@ class RecurrenceHandle:
 
     Calling the handle stops the recurrence (the historical contract:
     ``every()`` used to return a bare stop closure, and every call site
-    just invokes it).  On top of that it exposes the *currently pending*
-    firing — next time and insertion seq — which is what lets checkpoint
-    code snapshot a recurrence and re-arm it phase-exactly at restore
+    just invokes it); stopping cancels the pending firing, so
+    :meth:`Simulator.pending` stays exact.  On top of that it exposes the
+    *currently pending* firing — next time and insertion seq — which is
+    what lets checkpoint code snapshot a recurrence and re-arm it
+    phase-exactly at restore
     (``sim.every(period, cb, start=next_time, priority=priority)``).
     """
 
-    __slots__ = ("period", "priority", "stopped", "_event")
+    __slots__ = ("period", "priority", "stopped", "_event", "_sim")
 
-    def __init__(self, period: float, priority: int) -> None:
+    def __init__(self, period: float, priority: int, sim: "Simulator") -> None:
         self.period = period
         self.priority = priority
         self.stopped = False
         self._event: Optional[List[Any]] = None
+        self._sim = sim
 
     def __call__(self) -> None:
         self.stop()
 
     def stop(self) -> None:
         self.stopped = True
+        if self._event is not None:
+            _cancel(self._event, self._sim)
 
     @property
     def next_time(self) -> Optional[float]:
@@ -308,14 +317,17 @@ class Simulator:
         """
         if period <= 0:
             raise SimulationError(f"period must be positive (got {period})")
-        handle = RecurrenceHandle(period, priority)
+        handle = RecurrenceHandle(period, priority, self)
+        seq = self._seq
 
         def fire() -> None:
-            if handle.stopped:
-                return
             callback(*args)
             if not handle.stopped:
-                handle._event = self.schedule(period, fire, priority=priority)._event
+                # push the next firing directly; self._heap is read now
+                # because a compaction may have replaced the list
+                event = [self._now + period, priority, next(seq), fire, (), _PENDING]
+                _heappush(self._heap, event)
+                handle._event = event
 
         first = start if start is not None else self._now + period
         handle._event = self.schedule_at(first, fire, priority=priority)._event

@@ -77,6 +77,36 @@ class LatencyReservoir:
             if slot < self._max_samples:
                 self._samples[slot] = value
 
+    def record_many(self, values: Sequence[float]) -> None:
+        """Record ``values`` in order: the same state as one :meth:`record`
+        call per value, with the in-capacity prefix appended in one step.
+
+        Nothing is recorded if any value is negative."""
+        total = self._sum
+        peak = self._max
+        for value in values:
+            if value < 0:
+                raise ValueError(f"latency cannot be negative (got {value})")
+            # one addition per value, in order: the float result must
+            # equal record()'s running sum bit for bit
+            total += value
+            if value > peak:
+                peak = value
+        if not values:
+            return
+        self._sum = total
+        self._max = peak
+        self._sorted = None
+        samples = self._samples
+        room = max(0, self._max_samples - len(samples))
+        samples.extend(values[:room])
+        self._count += min(room, len(values))
+        for value in values[room:]:
+            self._count += 1
+            slot = self._rand_below(self._count)
+            if slot < self._max_samples:
+                samples[slot] = value
+
     @property
     def count(self) -> int:
         return self._count

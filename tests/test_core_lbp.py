@@ -7,6 +7,7 @@ from repro.core.lbp import LbpConfig, LoadBalancingPolicy, profiled_initial_thre
 from repro.hw.snic import make_snic_engine
 from repro.net.addressing import AddressPlan
 from repro.net.packet import Packet
+from repro.obs.tracer import NULL_TRACER
 from repro.sim.engine import Simulator
 
 PLAN = AddressPlan.default()
@@ -118,6 +119,62 @@ class TestAlgorithm1:
         events_before = sim.pending()
         sim.run(until=0.01)
         assert sim.now >= 0.01
+
+
+class TestStationClocked:
+    """``advance_to`` evaluates the ticks a recurrence would have fired,
+    at bit-equal times, with no heap events of its own."""
+
+    @staticmethod
+    def _pair(threshold):
+        eager = setup(threshold=threshold)
+        sim = Simulator()
+        engine = make_snic_engine(sim, "nat")
+        director = TrafficDirector(sim, PLAN, fwd_threshold_gbps=threshold)
+        lazy = LoadBalancingPolicy(sim, engine, director, recurring=False)
+        return eager, (sim, engine, director, lazy)
+
+    @pytest.mark.parametrize("threshold", [1.0, 40.0])
+    def test_advance_to_matches_recurrence(self, threshold):
+        (sim_e, _, director_e, eager), (sim_l, _, director_l, lazy) = self._pair(
+            threshold
+        )
+        # any tracer turns on the decision trace
+        eager.tracer = lazy.tracer = NULL_TRACER
+        sim_e.run(until=0.00355)
+        lazy.advance_to(0.00355)
+
+        assert len(lazy.decisions) == 35
+        assert lazy.decisions == eager.decisions
+        assert lazy.next_tick_s == eager._stop.next_time
+        assert lazy.threshold_history == eager.threshold_history
+        assert director_l._tokens_bits == director_e._tokens_bits
+        assert director_l._last_refill == director_e._last_refill
+        assert lazy._estimator._last_time == eager._estimator._last_time
+
+    def test_no_heap_events_and_idempotent_catch_up(self):
+        _, (sim, _, _, lazy) = self._pair(1.0)
+        assert sim.pending() == 0
+        lazy.advance_to(lazy.next_tick_s - 1e-9)
+        assert lazy.threshold_history == [1.0]
+        lazy.advance_to(0.001)
+        history = list(lazy.threshold_history)
+        lazy.advance_to(0.001)
+        assert lazy.threshold_history == history
+        assert sim.pending() == 0
+        lazy.stop()
+
+    def test_idle_engine_samples_exactly_zero(self):
+        _, (_, engine, _, lazy) = self._pair(1.0)
+        seen = []
+        lazy.set_forward_rate = seen.append
+        lazy.advance_to(0.0005)
+        assert seen == [0.0] * 5
+        fifth_tick = 0.0
+        for _ in range(5):
+            fifth_tick = fifth_tick + 1e-4
+        assert lazy._estimator._last_time == fifth_tick
+        assert lazy._estimator._last_bits == engine.delivered_bits
 
 
 class TestProfiledThreshold:

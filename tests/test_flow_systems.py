@@ -9,10 +9,12 @@ from repro.bench import flow_rack_smoke_specs, payload_sha256
 from repro.cluster.system import run_rack, scaled_trace
 from repro.core import SYSTEM_CLASSES
 from repro.exp.server import RunConfig, run_at_rate, run_trace
+from repro.fabric.shard import RackShard, RackShardSpec
 from repro.flow.cluster import FlowClusterSystem, RackStepper
 from repro.flow.source import ConstantRateSource, TraceRateSource
 from repro.flow.system import FLOW_SYSTEM_CLASSES, build_flow_system
 from repro.flow.validate import compare_cell
+from repro.serve.state import restore_shard, shard_state
 
 FLOW = RunConfig(duration_s=0.02, sim_mode="flow")
 PACKET = RunConfig(duration_s=0.02, sim_mode="packet")
@@ -25,14 +27,19 @@ FLOW_RACK_PINS = json.loads(BASELINE.read_text())["identity"][
 ]
 
 
-def _flow_rack(interval_s):
+def _flow_rack(interval_s, function="nat", threshold_gbps=None):
     """A 2-server HAL flow rack on the web trace, built as run_rack builds
-    it; returns the rack, its rate source, the duration and multiplicity."""
+    it (optionally with every member's Fwd_Th register set to
+    ``threshold_gbps``); returns the rack, its rate source, the duration
+    and multiplicity."""
     config = RunConfig(duration_s=0.05, sim_mode="flow", flow_interval_s=interval_s)
     trace = scaled_trace("web", 2)
     cluster = FlowClusterSystem(
-        "hal", "nat", servers=2, seed=config.seed, interval_s=interval_s
+        "hal", function, servers=2, seed=config.seed, interval_s=interval_s
     )
+    if threshold_gbps is not None:
+        for member in cluster.members:
+            member.director.set_threshold(threshold_gbps)
     traffic = config.spec(trace.average_gbps * 3)
     source = TraceRateSource(
         trace, cluster.rng, cluster.plan, traffic,
@@ -148,6 +155,124 @@ class TestFlowRack:
         assert json.dumps(stepped.to_dict(), sort_keys=True) == json.dumps(
             one_shot.to_dict(), sort_keys=True
         )
+
+
+def _control_state(cluster):
+    """Every LBP and director field a flow HAL rack's evolution reads."""
+    return [
+        (
+            member.lbp.next_tick_s,
+            member.lbp.adjustments_up,
+            member.lbp.adjustments_down,
+            list(member.lbp.threshold_history),
+            member.lbp._estimator._last_bits,
+            member.lbp._estimator._last_time,
+            member.director.fwd_threshold_gbps,
+            member.director._tokens_bits,
+            member.director._last_refill,
+        )
+        for member in cluster.members
+    ]
+
+
+#: (function, Fwd_Th override): NAT at its profiled threshold, and KVS
+#: with a low threshold so Fwd_Th moves between station advances
+STATION_CLOCK_CELLS = [("nat", None), ("kvs", 2.0)]
+
+
+class TestStationClockedLbp:
+    """Flow mode evaluates Algorithm 1's ticks on demand from the station
+    tick (``LoadBalancingPolicy.advance_to``) instead of as heap events."""
+
+    @pytest.mark.parametrize("interval_s", [100e-6, 1e-3])
+    @pytest.mark.parametrize("function,threshold_gbps", STATION_CLOCK_CELLS)
+    def test_matches_eager_recurrence(self, function, threshold_gbps, interval_s):
+        """A reference rack whose policies tick from a heap recurrence
+        holds the same LBP and director state at every barrier and ends
+        with the same payload bytes."""
+        racks = []
+        for eager in (False, True):
+            cluster, source, duration_s, multiplicity = _flow_rack(
+                interval_s, function, threshold_gbps
+            )
+            sim = cluster.sim
+            if eager:
+                for member in cluster.members:
+                    sim.every(
+                        member.lbp.config.period_s,
+                        lambda lbp=member.lbp: lbp.advance_to(sim.now),
+                    )
+            rates = source.rates(duration_s, interval_s)
+            racks.append((cluster, RackStepper(cluster, len(rates), multiplicity)))
+        per_epoch = round(0.01 / interval_s)
+        for epoch, first in enumerate(range(0, len(rates), per_epoch), 1):
+            states = []
+            for cluster, stepper in racks:
+                stepper.push_rates(rates[first:first + per_epoch])
+                stepper.advance_to(epoch * 0.01)
+                # the rule for any reader between advances: catch up first
+                for member in cluster.members:
+                    member.lbp.advance_to(cluster.sim.now)
+                states.append(_control_state(cluster))
+            assert states[0] == states[1]
+        payloads = [
+            json.dumps(
+                stepper.finish(source.offered_gbps, duration_s).to_dict(),
+                sort_keys=True,
+            )
+            for _, stepper in racks
+        ]
+        assert payloads[0] == payloads[1]
+        if function == "kvs":
+            members = racks[0][0].members
+            assert any(member.lbp.adjustments_up for member in members)
+            assert any(member.lbp.adjustments_down for member in members)
+
+    def test_no_lbp_events_on_the_heap(self):
+        """Every simulator event is a rack tick, an autoscaler tick or a
+        wake; the LBP ticks (ten per rack tick here) cost none."""
+        cluster, source, duration_s, multiplicity = _flow_rack(1e-3)
+        rates = source.rates(duration_s, 1e-3)
+        stepper = RackStepper(cluster, len(rates), multiplicity)
+        stepper.push_rates(rates)
+        stepper.finish(source.offered_gbps, duration_s)
+
+        sim = cluster.sim
+        autoscaler = cluster.autoscaler
+        autoscaler_ticks = int(sim.now / autoscaler.config.period_s) + 1
+        assert sim.events_processed <= (
+            stepper._index + autoscaler_ticks + autoscaler.wakes
+        )
+        for member in cluster.members:
+            # stop() caught the policy up to the drain end
+            assert sim.now < member.lbp.next_tick_s
+            assert member.lbp.next_tick_s - sim.now <= member.lbp.config.period_s
+
+    def test_checkpoint_with_pending_ticks_resumes_identically(self):
+        """A barrier snapshot taken while LBP ticks since the last station
+        advance are still unevaluated resumes to the same bytes."""
+        spec = RackShardSpec(
+            index=0, member_kind="hal", function="kvs", servers=2,
+            policy="packing", seed=5, flow_interval_s=1e-3, epoch_s=0.02,
+            epochs=6, packet_bytes=1500, train_multiplicity=4,
+        )
+        rates = [9.0, 2.0, 12.0, 1.0, 10.0, 8.0]
+        baseline = RackShard(spec)
+        expected = [baseline.step(rate) for rate in rates]
+        expected_finish = json.dumps(baseline.finish(7.0), sort_keys=True)
+
+        shard = RackShard(spec)
+        head = [shard.step(rate) for rate in rates[:3]]
+        now = shard.cluster.sim.now
+        assert all(m.lbp.next_tick_s <= now for m in shard.cluster.members)
+        state = json.loads(json.dumps(shard_state(shard)))
+        fresh = RackShard(spec)
+        restore_shard(fresh, state)
+        tail = [fresh.step(rate) for rate in rates[3:]]
+        finish = json.dumps(fresh.finish(7.0), sort_keys=True)
+
+        assert head + tail == expected
+        assert finish == expected_finish
 
 
 class TestKindTables:

@@ -59,6 +59,20 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint(path, "k")
 
+    def test_version_one_layout_rejected(self, tmp_path):
+        """Version 1 bodies carried LBP recurrences as timers; version 2
+        records the station-clocked tick cursor instead."""
+        path = str(tmp_path / "ck.json")
+        write_checkpoint(path, "k", {"x": 1})
+        with open(path) as fh:
+            envelope = json.load(fh)
+        assert envelope["version"] == SNAPSHOT_VERSION == 2
+        envelope["version"] = 1
+        with open(path, "w") as fh:
+            json.dump(envelope, fh)
+        with pytest.raises(CheckpointError, match="version 1"):
+            read_checkpoint(path, "k")
+
     def test_wrong_format_rejected(self, tmp_path):
         path = str(tmp_path / "ck.json")
         with open(path, "w") as fh:
@@ -220,6 +234,26 @@ class TestShardRoundTrip:
             baseline.step(r)
         blob_b = json.dumps([baseline.step(r) for r in _RATES[5:]], sort_keys=True)
         assert blob_a == blob_b
+
+    def test_lbp_is_component_state_not_a_timer(self):
+        """Flow-mode Algorithm 1 is station-clocked: the walker records
+        each policy's tick cursor and the timer inventory has no LBP."""
+        shard = RackShard(_spec())
+        shard.step(_RATES[0])
+        state = shard_state(shard)
+        assert {timer["kind"] for timer in state["timers"]} <= {
+            "stepper_tick", "autoscaler_tick", "wake",
+        }
+        for member, member_state in zip(shard.cluster.members, state["members"]):
+            assert member_state["lbp"]["next_tick_s"] == member.lbp.next_tick_s
+        # ticks since the last station advance are still pending
+        assert state["members"][0]["lbp"]["next_tick_s"] <= state["clock"]["now"]
+
+        fresh = RackShard(_spec())
+        restore_shard(fresh, state)
+        for member, original in zip(fresh.cluster.members, shard.cluster.members):
+            assert member.lbp.next_tick_s == original.lbp.next_tick_s
+        assert fresh.cluster.sim.pending() == shard.cluster.sim.pending()
 
     def test_spec_mismatch_rejected(self):
         shard = RackShard(_spec())

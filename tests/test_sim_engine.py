@@ -116,6 +116,71 @@ def test_every_recurs_and_stops():
     assert count[0] == 5
 
 
+def test_stopped_recurrence_leaves_nothing_pending():
+    """Stopping cancels the pending firing: pending() drops to zero and
+    a plain run() neither moves the clock to the dead firing nor counts
+    it as an event."""
+    sim = Simulator()
+    handle = sim.every(1.0, lambda: None)
+    sim.run(until=2.5)
+    assert sim.pending() == 1
+    handle.stop()
+    assert sim.pending() == 0
+    assert handle.next_time is None
+    sim.run()
+    assert sim.now == 2.5
+    assert sim.events_processed == 2
+
+
+def test_recurrence_stopped_from_its_own_callback_does_not_rearm():
+    sim = Simulator()
+    fired = []
+    handle = None
+
+    def tick():
+        fired.append(sim.now)
+        if len(fired) == 3:
+            handle.stop()
+
+    handle = sim.every(0.5, tick)
+    sim.run()
+    assert fired == [0.5, 1.0, 1.5]
+    assert sim.pending() == 0
+
+
+def test_recurrence_rearms_across_heap_compaction():
+    """A callback whose cancels compact the heap (replacing the list)
+    still gets its next firing pushed onto the live heap."""
+    sim = Simulator()
+    victims = [sim.schedule(10.0 + i, lambda: None) for i in range(40)]
+    times = []
+
+    def tick():
+        times.append(sim.now)
+        if len(times) == 1:
+            for victim in victims:
+                victim.cancel()
+
+    handle = sim.every(1.0, tick)
+    sim.run(until=3.5)
+    assert times == [1.0, 2.0, 3.0]
+    assert handle.next_time == 4.0
+    assert sim.pending() == 1
+
+
+def test_recurrence_times_accumulate_like_repeated_addition():
+    """Each firing is the previous firing time plus the period (the
+    float recurrence the LBP tick cursor reproduces)."""
+    sim = Simulator()
+    times = []
+    sim.every(1e-4, lambda: times.append(sim.now))
+    sim.run(until=0.01)
+    expected = [1e-4]
+    while len(expected) < len(times):
+        expected.append(expected[-1] + 1e-4)
+    assert times == expected
+
+
 def test_every_with_custom_start():
     sim = Simulator()
     times = []

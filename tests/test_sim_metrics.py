@@ -76,6 +76,45 @@ class TestLatencyReservoir:
             r.record(0.0 if i % 2 == 0 else 100.0)
         assert 30.0 < r.quantile(0.5 - 1e-9) or r.quantile(0.6) == 100.0
 
+    @pytest.mark.parametrize("already_recorded", [0, 40, 300])
+    def test_record_many_equals_per_value_record(self, already_recorded):
+        """Bulk recording leaves the state (samples, running sum, max,
+        count and sampling RNG) bit-identical to per-value ``record``,
+        including the crossing of ``max_samples``."""
+        import random
+
+        rng = random.Random(11)
+        # values whose running float sum depends on the addition order
+        values = [rng.lognormvariate(-11.0, 2.0) for _ in range(700)]
+        values[5] = 1e-3
+        head = [rng.random() * 1e-4 for _ in range(already_recorded)]
+
+        one_by_one = LatencyReservoir(max_samples=256, seed=3)
+        bulk = LatencyReservoir(max_samples=256, seed=3)
+        for value in head:
+            one_by_one.record(value)
+            bulk.record(value)
+        for value in values:
+            one_by_one.record(value)
+        bulk.record_many(values)
+
+        assert bulk.count > 256
+        assert bulk.state_dict() == one_by_one.state_dict()
+        assert repr(bulk.state_dict()["sum"]) == repr(one_by_one.state_dict()["sum"])
+
+    def test_record_many_rejects_negative_atomically(self):
+        r = LatencyReservoir()
+        r.record(1.0)
+        before = r.state_dict()
+        with pytest.raises(ValueError, match="negative"):
+            r.record_many([2.0, -1.0, 3.0])
+        assert r.state_dict() == before
+
+    def test_record_many_empty_is_noop(self):
+        r = LatencyReservoir()
+        r.record_many([])
+        assert r.count == 0 and r.mean == 0.0
+
 
 class TestThroughputMeter:
     def test_rates(self):
