@@ -7,36 +7,11 @@ the paper's 10-minute traces) and prints the reproduced rows, so running
     pytest benchmarks/ --benchmark-only
 
 emits the full evaluation alongside the timing data.
-
-Passing ``--bench-json FILE`` additionally runs the hot-path perf
-benchmarks of :mod:`repro.bench` at session end and writes their results
-(the same schema ``python -m repro bench --bench-json`` produces) for
-``benchmarks/check_regression.py`` to gate on.
 """
 
 import pytest
 
 from repro.exp.server import RunConfig
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json", action="store", default=None, metavar="FILE",
-        help="write repro.bench hot-path results to FILE at session end",
-    )
-    parser.addoption(
-        "--bench-scale", action="store", type=float, default=1.0,
-        help="workload scale factor for --bench-json runs",
-    )
-
-
-def pytest_sessionfinish(session, exitstatus):
-    path = session.config.getoption("--bench-json")
-    if not path or exitstatus != 0:
-        return
-    from repro.bench import run_bench, write_results
-
-    write_results(run_bench(scale=session.config.getoption("--bench-scale")), path)
 
 #: simulated seconds per run inside benchmarks — enough for the paper's
 #: qualitative shapes while keeping the whole suite in minutes

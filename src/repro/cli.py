@@ -7,7 +7,6 @@ Usage::
     python -m repro fig5 --jobs 4            # fan runs out over 4 processes
     python -m repro all --cache              # content-addressed result cache
     python -m repro artifact --jobs 0        # batch mode, one worker per core
-    python -m repro bench --bench-json BENCH_results.json
     python -m repro trace fig9 --trace-out trace.json   # Perfetto trace
     python -m repro fig5 --probes probes.csv --capture 256
     python -m repro fabric --racks 8 --shard-jobs 4 --journal fleet.jsonl \\
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         help="experiment id (fig2..fig10, table1/2/5, costs, ...), 'all', "
-        "'list', 'bench' (hot-path perf benchmarks), 'artifact' "
+        "'list', 'artifact' "
         "(batch-run the default set into --results-dir), 'trace' "
         "(run one experiment under telemetry; see the 'target' argument), "
         "'journal' (summarize a fabric run journal; see the 'target' "
@@ -94,16 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-q", "--quiet", action="store_true",
         help="suppress informational logging (warnings and errors only)",
-    )
-    parser.add_argument(
-        "--bench-json", type=str, default=None, metavar="FILE",
-        help="bench mode: also write the benchmark results as JSON "
-        "(e.g. BENCH_results.json, diffed by benchmarks/check_regression.py)",
-    )
-    parser.add_argument(
-        "--bench-scale", type=float, default=1.0,
-        help="bench mode: scale factor for the benchmark workload sizes "
-        "(default 1.0; CI smoke runs may use less)",
     )
     parser.add_argument(
         "--grid", type=str, default="smoke", choices=("smoke", "full"),
@@ -813,11 +802,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment == "list":
         for name in available_experiments():
             print(name)
-        return 0
-    if args.experiment == "bench":
-        from repro.bench import run_and_report
-
-        run_and_report(bench_json=args.bench_json, scale=args.bench_scale)
         return 0
     if args.experiment == "journal":
         return run_journal(args)

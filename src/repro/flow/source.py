@@ -17,13 +17,10 @@ from typing import List, Union
 
 from repro.net.addressing import AddressPlan
 from repro.net.traffic import (
-    DIURNAL_PHASES,
     META_TRACES,
-    DiurnalPhase,
     LogNormalSpec,
     LogNormalTraceGenerator,
     TrafficSpec,
-    stitch_diurnal_rates,
 )
 from repro.sim.rng import RngRegistry
 
@@ -39,53 +36,6 @@ class ConstantRateSource:
     def rates(self, duration_s: float, interval_s: float) -> List[float]:
         n = max(1, math.ceil(duration_s / interval_s))
         return [self.offered_gbps] * n
-
-
-class DiurnalRateSource:
-    """Long-horizon diurnal fleet curve compressed onto the flow grid.
-
-    ``model_hours`` of model-clock traffic (stitched by
-    :func:`repro.net.traffic.stitch_diurnal_rates` from the named mix's
-    phases) replay over however many simulated seconds the run lasts —
-    one stitched rate per flow interval.  ``offered_gbps`` becomes the
-    realised schedule mean once :meth:`rates` has been called.
-    """
-
-    def __init__(
-        self,
-        mix: Union[str, List[DiurnalPhase]],
-        model_hours: float,
-        rng: RngRegistry,
-        scale: float = 1.0,
-        line_rate_gbps: float = 100.0,
-    ) -> None:
-        if isinstance(mix, str):
-            if mix not in DIURNAL_PHASES:
-                raise ValueError(
-                    f"unknown diurnal mix {mix!r}; known: {sorted(DIURNAL_PHASES)}"
-                )
-            phases = list(DIURNAL_PHASES[mix])
-        else:
-            phases = list(mix)
-        self._phases = phases
-        self.model_hours = model_hours
-        self._rng = rng
-        self._scale = scale
-        self.line_rate_gbps = line_rate_gbps
-        self.offered_gbps = 0.0
-
-    def rates(self, duration_s: float, interval_s: float) -> List[float]:
-        n = max(1, math.ceil(duration_s / interval_s))
-        plan = stitch_diurnal_rates(
-            self._phases,
-            self.model_hours,
-            n,
-            self._rng,
-            scale=self._scale,
-            line_rate_gbps=self.line_rate_gbps,
-        )
-        self.offered_gbps = sum(plan) / len(plan)
-        return plan
 
 
 class TraceRateSource:

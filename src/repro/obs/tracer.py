@@ -4,8 +4,9 @@ Design constraints, in priority order:
 
 1. **Zero overhead untraced.**  Components store ``tracer = None`` by
    default and guard every emission with ``if tracer is not None`` —
-   one pointer comparison, no allocation, no call.  The bench gate
-   (±30 % vs ``benchmarks/baseline.json``) enforces this stays cheap.
+   one pointer comparison, no allocation, no call.  The CI e2e gate
+   (``benchmarks/e2e``, 10 % bounds against the parent commit) enforces
+   this stays cheap.
 2. **Simulated-time stamps.**  Every event carries the simulation
    clock, not wall time, so a traced run is deterministic: the same
    spec produces the same trace, byte for byte, and two traces diff.

@@ -123,56 +123,6 @@ class TestRunnerFlags:
         assert table(first) == table(second)
 
 
-class TestBench:
-    def test_bench_parser_options(self):
-        args = build_parser().parse_args(
-            ["bench", "--bench-json", "b.json", "--bench-scale", "0.05"]
-        )
-        assert args.experiment == "bench"
-        assert args.bench_json == "b.json"
-        assert args.bench_scale == 0.05
-
-    def test_bench_writes_json(self, tmp_path, capsys):
-        import json
-
-        target = tmp_path / "BENCH_results.json"
-        assert main(["bench", "--bench-json", str(target), "--bench-scale", "0.02"]) == 0
-        out = capsys.readouterr().out
-        assert "events/s" in out and "packets/s" in out
-        results = json.loads(target.read_text())
-        assert set(results["metrics"]) == {
-            "kernel_events_per_s",
-            "datapath_packets_per_s",
-            "rack_dispatch_packets_per_s",
-            "fig5_cell_wall_s",
-            "flow_events_per_s",
-            "fabric_rack_intervals_per_s",
-        }
-        assert all(v > 0 for v in results["metrics"].values())
-        assert len(results["identity"]["fig5_payload_sha256"]) == 64
-        assert len(results["identity"]["rack_payload_sha256"]) == 64
-
-    def test_bench_results_match_committed_baseline_identity(self, tmp_path):
-        """The committed regression baseline must carry the same fig5
-        payload hash the current code produces — the gate's bit-identity
-        check is only meaningful if the committed anchor is current."""
-        import json
-        import pathlib
-
-        from repro.bench import bench_fig5, bench_rack
-
-        baseline_path = pathlib.Path(__file__).parent.parent / "benchmarks" / "baseline.json"
-        baseline = json.loads(baseline_path.read_text())
-        assert (
-            bench_fig5(repeats=1)["payload_sha256"]
-            == baseline["identity"]["fig5_payload_sha256"]
-        )
-        assert (
-            bench_rack()["payload_sha256"]
-            == baseline["identity"]["rack_payload_sha256"]
-        )
-
-
 class TestTraceMode:
     def test_trace_parser_defaults(self):
         args = build_parser().parse_args(["trace", "fig9"])

@@ -7,7 +7,6 @@ import json
 import pytest
 
 import repro.exp  # noqa: F401  (import order: exp must load before runner)
-from repro.bench import exact_floor_warnings
 from repro.cli import check_process_budget
 from repro.exp.fabric import run_focused
 from repro.exp.server import RunConfig
@@ -441,21 +440,3 @@ class TestProcessBudget:
 
     def test_jobs_zero_means_all_cores(self):
         assert check_process_budget(0, 2, cores=4) is not None
-
-
-class TestExactFloorWarnings:
-    def test_bit_exact_match_warns(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps({"metrics": {"flow_events_per_s": 16000.0}})
-        )
-        warnings = exact_floor_warnings(
-            {"flow_events_per_s": 16000.0}, str(baseline)
-        )
-        assert len(warnings) == 1 and "bit-exactly" in warnings[0]
-        assert exact_floor_warnings(
-            {"flow_events_per_s": 16000.1}, str(baseline)
-        ) == []
-
-    def test_missing_baseline_is_silent(self, tmp_path):
-        assert exact_floor_warnings({"x": 1.0}, str(tmp_path / "nope.json")) == []

@@ -11,10 +11,10 @@ import json
 import os
 import signal
 import threading
-import time
 
 import pytest
 
+import repro.serve.daemon
 from repro.exp.server import RunConfig
 from repro.runner.sharded import DrainSignal
 from repro.serve.checkpoint import FabricJobParams, run_resumable
@@ -60,15 +60,49 @@ def harness(tmp_path):
     h.stop()
 
 
-def wait_for_progress(client, job_id, epoch=2, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        job = client.status(job_id)
-        progress = job.get("progress") or {}
-        if progress.get("epoch", -1) >= epoch or job["status"] != "running":
-            return job
-        time.sleep(0.01)
-    raise AssertionError(f"job {job_id} made no progress in {timeout}s")
+#: the epoch barrier a gated fabric job is held at
+GATE_EPOCH = 2
+
+
+class BarrierGate:
+    """Holds the next daemon fabric job at one epoch barrier.
+
+    Wraps the daemon's ``run_resumable`` so that the job's
+    ``should_pause`` hook, the first time it reaches :data:`GATE_EPOCH`,
+    sets ``reached`` and blocks on ``release`` before the daemon reads
+    its pause flag.  A test sends its checkpoint or cancel request in
+    between, so the job pauses at that barrier however fast it runs.
+    """
+
+    def __init__(self, monkeypatch):
+        self.reached = threading.Event()
+        self.release = threading.Event()
+        self._armed = True
+        run_resumable = repro.serve.daemon.run_resumable
+
+        def gated(*args, should_pause, **kwargs):
+            def hook(system, epoch):
+                if self._armed and epoch == GATE_EPOCH:
+                    self._armed = False
+                    self.reached.set()
+                    self.release.wait(timeout=60.0)
+                return should_pause(system, epoch)
+
+            return run_resumable(*args, should_pause=hook, **kwargs)
+
+        monkeypatch.setattr(repro.serve.daemon, "run_resumable", gated)
+
+    def hold(self, timeout=60.0):
+        """Block until the gated job sits at the barrier."""
+        if not self.reached.wait(timeout):
+            raise AssertionError(f"job never reached epoch {GATE_EPOCH}")
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    g = BarrierGate(monkeypatch)
+    yield g
+    g.release.set()
 
 
 class TestApiBasics:
@@ -121,16 +155,17 @@ class TestFabricLifecycle:
         assert done["payload"]["experiment"] == "fabric"
 
     def test_checkpoint_restart_resume_identical(
-        self, tmp_path, uninterrupted_sha
+        self, tmp_path, gate, uninterrupted_sha
     ):
         state_dir = tmp_path / "state"
         first = DaemonHarness(state_dir)
         job = first.client.submit_fabric(RUN_CONFIG, PARAMS, shard_jobs=2)
-        wait_for_progress(first.client, job["id"])
+        gate.hold()
         first.client.checkpoint(job["id"])
+        gate.release.set()
         paused = first.client.wait(job["id"])
         assert paused["status"] == "paused"
-        assert paused["paused_epoch"] is not None
+        assert paused["paused_epoch"] == GATE_EPOCH + 1
         first.stop()
 
         second = DaemonHarness(state_dir)
@@ -142,14 +177,15 @@ class TestFabricLifecycle:
         assert done["payload_sha256"] == uninterrupted_sha
         second.stop()
 
-    def test_journal_survives_pause_and_pages(self, tmp_path):
+    def test_journal_survives_pause_and_pages(self, tmp_path, gate):
         state_dir = tmp_path / "state"
         h = DaemonHarness(state_dir)
         try:
             job = h.client.submit_fabric(RUN_CONFIG, PARAMS)
-            wait_for_progress(h.client, job["id"])
+            gate.hold()
             h.client.checkpoint(job["id"])
-            h.client.wait(job["id"])
+            gate.release.set()
+            assert h.client.wait(job["id"])["status"] == "paused"
             records, cursor = h.client.journal(job["id"])
             kinds = [r["kind"] for r in records]
             assert kinds[0] == "meta"
@@ -167,38 +203,36 @@ class TestFabricLifecycle:
         finally:
             h.stop()
 
-    def test_cancel_mid_run(self, harness):
+    def test_cancel_mid_run(self, harness, gate, uninterrupted_sha):
         job = harness.client.submit_fabric(RUN_CONFIG, PARAMS)
-        wait_for_progress(harness.client, job["id"], epoch=1)
-        status = harness.client.status(job["id"])
-        if status["status"] == "running":
-            cancelled = harness.client.cancel(job["id"])
-            final = harness.client.wait(job["id"])
-            assert final["status"] == "cancelled"
-            # a cancelled job checkpointed on the way out is resumable
-            harness.client.resume(job["id"])
-            done = harness.client.wait(job["id"], timeout=120.0)
-            assert done["status"] == "done"
+        gate.hold()
+        assert harness.client.status(job["id"])["status"] == "running"
+        harness.client.cancel(job["id"])
+        gate.release.set()
+        final = harness.client.wait(job["id"])
+        assert final["status"] == "cancelled"
+        assert final["paused_epoch"] == GATE_EPOCH + 1
+        # a cancelled job checkpointed on the way out is resumable
+        harness.client.resume(job["id"])
+        done = harness.client.wait(job["id"], timeout=120.0)
+        assert done["status"] == "done"
+        assert done["payload_sha256"] == uninterrupted_sha
 
-    def test_dead_job_without_checkpoint_fails_on_recovery(self, tmp_path):
+    def test_dead_job_without_checkpoint_fails_on_recovery(
+        self, tmp_path, gate
+    ):
         state_dir = tmp_path / "state"
         h = DaemonHarness(state_dir)
         job = h.client.submit_fabric(RUN_CONFIG, PARAMS)
-        jid = job["id"]
+        gate.hold()
+        # the daemon dies while its job sits at a barrier, before any
+        # checkpoint was asked for; the held job thread writes nothing
+        # while the second daemon recovers
         h.stop()
-        # simulate a crash before the first checkpoint: delete it if the
-        # drain wrote one, then recover
-        jobs_file = state_dir / "jobs.json"
-        data = json.loads(jobs_file.read_text())
-        for row in data["jobs"]:
-            if row["id"] == jid and row["status"] == "running":
-                ckpt = row.get("checkpoint")
-                if ckpt and os.path.exists(ckpt):
-                    os.unlink(ckpt)
         h2 = DaemonHarness(state_dir)
         try:
-            recovered = h2.client.status(jid)
-            assert recovered["status"] in ("failed", "paused", "done", "cancelled")
+            recovered = h2.client.status(job["id"])
+            assert recovered["status"] == "failed"
         finally:
             h2.stop()
 
