@@ -117,8 +117,8 @@ class TrafficDirector:
         self.plan = plan
         self._fwd_threshold_gbps = fwd_threshold_gbps
         self.bucket_depth_s = bucket_depth_s
-        self._tokens_bits = 0.0
-        self._tokens_bits = self._bucket_capacity_bits()  # start full
+        self._capacity_bits = self._bucket_capacity_bits()
+        self._tokens_bits = self._capacity_bits  # start full
         self._last_refill = sim.now
         self.stats = DirectorStats()
         # warm the memoized RFC 1624 delta for the one rewrite this block
@@ -139,7 +139,8 @@ class TrafficDirector:
             raise ValueError("threshold cannot be negative")
         self._refill(self.sim.now if now is None else now)
         self._fwd_threshold_gbps = gbps
-        self._tokens_bits = min(self._tokens_bits, self._bucket_capacity_bits())
+        self._capacity_bits = self._bucket_capacity_bits()
+        self._tokens_bits = min(self._tokens_bits, self._capacity_bits)
 
     #: minimum bucket depth: one maximum-size event burst (32 MTU packets),
     #: so low thresholds still trickle packets to the SNIC instead of
@@ -147,6 +148,8 @@ class TrafficDirector:
     MIN_BUCKET_BITS = 32 * 1500 * 8.0
 
     def _bucket_capacity_bits(self) -> float:
+        """Bucket depth at the current threshold; cached as
+        ``_capacity_bits``, which only the threshold write moves."""
         return max(
             self._fwd_threshold_gbps * 1e9 * self.bucket_depth_s,
             self.MIN_BUCKET_BITS,
@@ -156,23 +159,26 @@ class TrafficDirector:
         elapsed = now - self._last_refill
         if elapsed > 0:
             self._tokens_bits = min(
-                self._bucket_capacity_bits(),
+                self._capacity_bits,
                 self._tokens_bits + self._fwd_threshold_gbps * 1e9 * elapsed,
             )
             self._last_refill = now
 
     def direct(self, packet: Packet) -> Packet:
         """Decide SNIC vs host for one packet, rewriting if redirected."""
-        self._refill(self.sim.now)
-        bits = packet.wire_bits
+        self._refill(self.sim._now)
+        multiplicity = packet.multiplicity
+        nbytes = packet.size_bytes * multiplicity
+        bits = nbytes * 8
+        stats = self.stats
         if bits <= self._tokens_bits:
             self._tokens_bits -= bits
-            self.stats.to_snic_packets += packet.multiplicity
-            self.stats.to_snic_bytes += packet.size_bytes * packet.multiplicity
+            stats.to_snic_packets += multiplicity
+            stats.to_snic_bytes += nbytes
             return packet
         packet.rewrite_destination(self.plan.host)
-        self.stats.to_host_packets += packet.multiplicity
-        self.stats.to_host_bytes += packet.size_bytes * packet.multiplicity
+        stats.to_host_packets += multiplicity
+        stats.to_host_bytes += nbytes
         return packet
 
 

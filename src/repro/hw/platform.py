@@ -35,29 +35,16 @@ from repro.sim.metrics import LatencyReservoir, RunMetrics
 @dataclass
 class PacketRing:
     """A bounded Rx ring accounted in *packets* (batched events carry
-    ``multiplicity`` packets each, as a real descriptor ring would)."""
+    ``multiplicity`` packets each, as a real descriptor ring would).
+
+    :meth:`ProcessingEngine.receive` pushes (or drops) and
+    ``_start_service`` pops in place: both run once per packet."""
 
     capacity_packets: int
     items: Deque[Packet] = field(default_factory=deque)
     occupancy_packets: int = 0
     dropped_packets: int = 0
     enqueued_packets: int = 0
-
-    def push(self, packet: Packet) -> bool:
-        if self.occupancy_packets + packet.multiplicity > self.capacity_packets:
-            self.dropped_packets += packet.multiplicity
-            return False
-        self.items.append(packet)
-        self.occupancy_packets += packet.multiplicity
-        self.enqueued_packets += packet.multiplicity
-        return True
-
-    def pop(self) -> Optional[Packet]:
-        if not self.items:
-            return None
-        packet = self.items.popleft()
-        self.occupancy_packets -= packet.multiplicity
-        return packet
 
     def __len__(self) -> int:
         return len(self.items)
@@ -235,11 +222,15 @@ class ProcessingEngine:
         else:
             core = packet.flow_id % self.active_cores
         ring = self._rings[core]
-        if not ring.push(packet):
+        if ring.occupancy_packets + multiplicity > ring.capacity_packets:
+            ring.dropped_packets += multiplicity
             self.dropped_packets += multiplicity
             if self.metrics is not None:
                 self.metrics.dropped_packets += multiplicity
             return
+        ring.items.append(packet)
+        ring.occupancy_packets += multiplicity
+        ring.enqueued_packets += multiplicity
         if self.sleeping:
             self._begin_wake()
             return
@@ -263,9 +254,11 @@ class ProcessingEngine:
         self.sim.schedule(self.wake_latency_s, wake)
 
     def _start_service(self, core: int) -> None:
-        packet = self._rings[core].pop()
-        if packet is None:
-            return
+        # every caller has checked that the ring holds a packet
+        ring = self._rings[core]
+        packet = ring.items.popleft()
+        multiplicity = packet.multiplicity
+        ring.occupancy_packets -= multiplicity
         if not self._core_busy[core]:
             self._core_busy[core] = True
             self._busy_count += 1
@@ -274,7 +267,6 @@ class ProcessingEngine:
         callback = self.on_power_change
         if callback is not None:
             callback(self)
-        multiplicity = packet.multiplicity
         service_s = packet.size_bytes * 8 * multiplicity / self._per_core_bps
         if self._per_packet_overhead_s > 0:
             # fixed per-packet cost: descriptor handling, header parsing —
@@ -289,25 +281,14 @@ class ProcessingEngine:
             service_s *= 1.0 + self.service_jitter * (
                 2.0 * self._jitter_rng.random() - 1.0
             )
-        if self.state_domain is not None:
-            service_s += self._coherence_stall(packet)
+        state_domain = self.state_domain
+        if state_domain is not None:
+            # one coherence transaction per service event, keyed by flow:
+            # the cores batch state updates across a burst (the paper
+            # measures only 0.3-3% throughput/latency impact from
+            # NUMA-shared state, §VII-B)
+            service_s += state_domain.access(self.state_agent, packet.flow_id, True)
         self.sim.schedule(service_s, self._finish_service, core, packet)
-
-    def _coherence_stall(self, packet: Packet) -> float:
-        if self.state_domain is None:
-            return 0.0
-        # one coherence transaction per service event, keyed by flow: the
-        # cores batch state updates across a burst (the paper measures only
-        # 0.3-3% throughput/latency impact from NUMA-shared state, §VII-B)
-        return self.state_domain.access(self.state_agent, packet.flow_id, write=True)
-
-    def _update_rate_ewma(self, wire_bits: int) -> None:
-        now = self.sim._now
-        dt = now - self._rate_last_t
-        if dt > 0:
-            self._rate_bps_ewma *= math.exp(-dt / self._rate_tau_s)
-            self._rate_last_t = now
-        self._rate_bps_ewma += wire_bits / self._rate_tau_s
 
     def _overload_latency_s(self) -> float:
         knee = self.profile.slo_knee_gbps
@@ -326,7 +307,13 @@ class ProcessingEngine:
         wire_bits = packet.size_bytes * 8 * multiplicity
         self.delivered_packets += multiplicity
         self.delivered_bits += wire_bits
-        self._update_rate_ewma(wire_bits)
+        # delivered-rate EWMA (the overload-latency model's input)
+        now = self.sim._now
+        dt = now - self._rate_last_t
+        if dt > 0:
+            self._rate_bps_ewma *= math.exp(-dt / self._rate_tau_s)
+            self._rate_last_t = now
+        self._rate_bps_ewma += wire_bits / self._rate_tau_s
         if self.forward_stage:
             # mid-path hop: charge its delivery latency by back-dating the
             # packet and hand the original packet to the next stage
@@ -377,14 +364,18 @@ class ProcessingEngine:
             + self.delivery_latency_s
             - midpoint
         )
-        latency = max(latency, batch_service / multiplicity)
+        # never below one wire packet's service time
+        floor = batch_service / multiplicity
+        if floor > latency:
+            latency = floor
         self.latency.record(latency)
         metrics = self.metrics
         if metrics is not None:
             metrics.delivered_packets += multiplicity
             metrics.delivered_bytes += packet.size_bytes * multiplicity
             metrics.latency.record(latency)
-        self._maybe_run_function(packet)
+        if self.nf is not None and self.functional_rate > 0.0:
+            self._maybe_run_function(packet)
         if self.on_complete is not None:
             self.on_complete(packet.make_response())
 
@@ -394,10 +385,9 @@ class ProcessingEngine:
         Running the genuine computation for every wire packet would make
         100 Gbps simulation infeasible in Python, so ``functional_rate``
         controls the sampled fraction; the accumulated fraction is exact
-        over time (no RNG needed).
+        over time (no RNG needed). The caller checks that an NF is attached
+        and ``functional_rate`` is positive.
         """
-        if self.nf is None or self.functional_rate <= 0.0:
-            return
         self._functional_accumulator += self.functional_rate * packet.multiplicity
         while self._functional_accumulator >= 1.0:
             self._functional_accumulator -= 1.0

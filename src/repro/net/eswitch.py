@@ -31,10 +31,6 @@ class PortStats:
     packets: int = 0
     bytes: int = 0
 
-    def record(self, packet: Packet) -> None:
-        self.packets += packet.multiplicity
-        self.bytes += packet.size_bytes * packet.multiplicity
-
 
 class EmbeddedSwitch:
     """Destination-based forwarding with an optional default port."""
@@ -68,20 +64,22 @@ class EmbeddedSwitch:
             raise SwitchError(f"cannot default to unattached port {port!r}")
         self.default_port = port
 
-    def lookup(self, packet: Packet) -> Optional[str]:
-        """Which port would this packet be forwarded to?"""
-        port = self._rules.get((packet.dst.mac, packet.dst.ip))
+    def forward(self, packet: Packet) -> bool:
+        """Forward one packet; returns False if no rule matched.
+
+        The rule lookup and the port counters are inline: this runs once
+        per packet."""
+        dst = packet.dst
+        multiplicity = packet.multiplicity
+        port = self._rules.get((dst.mac, dst.ip))
         if port is None:
             port = self.default_port
-        return port
-
-    def forward(self, packet: Packet) -> bool:
-        """Forward one packet; returns False if no rule matched."""
-        port = self.lookup(packet)
-        if port is None:
-            self.unmatched_drops += packet.multiplicity
-            return False
-        self.stats[port].record(packet)
+            if port is None:
+                self.unmatched_drops += multiplicity
+                return False
+        stats = self.stats[port]
+        stats.packets += multiplicity
+        stats.bytes += packet.size_bytes * multiplicity
         self._ports[port](packet)
         return True
 

@@ -274,10 +274,6 @@ class Packet:
     def payload_bytes(self) -> int:
         return self.size_bytes - HEADER_BYTES
 
-    @property
-    def wire_bits(self) -> int:
-        return self.size_bytes * 8 * self.multiplicity
-
     def make_response(self, size_bytes: Optional[int] = None, payload: Any = None) -> "Packet":
         """Build the response packet (src/dst swapped), as an NF would.
 
@@ -286,13 +282,19 @@ class Packet:
         response never aliases the request's dict either way.
         """
         meta = self._meta
+        # positional: a keyword call builds a kwargs dict per response.
+        # Order: src, dst, size_bytes, payload, flow_id, checksum (lazy),
+        # packet_id (next id), created_at, multiplicity, processed_by, meta
         return Packet(
-            src=self.dst,
-            dst=self.src,
-            size_bytes=size_bytes if size_bytes is not None else self.size_bytes,
-            payload=payload,
-            flow_id=self.flow_id,
-            created_at=self.created_at,
-            multiplicity=self.multiplicity,
-            meta=dict(meta) if meta else None,
+            self.dst,
+            self.src,
+            self.size_bytes if size_bytes is None else size_bytes,
+            payload,
+            self.flow_id,
+            -1,
+            None,
+            self.created_at,
+            self.multiplicity,
+            None,
+            dict(meta) if meta else None,
         )

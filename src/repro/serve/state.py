@@ -177,6 +177,7 @@ def _restore_member(member: Any, state: Dict[str, Any]) -> None:
         director = member.director
         director_state = state["director"]
         director._fwd_threshold_gbps = director_state["fwd_threshold_gbps"]
+        director._capacity_bits = director._bucket_capacity_bits()
         director._tokens_bits = director_state["tokens_bits"]
         director._last_refill = director_state["last_refill"]
         for field, value in director_state["stats"].items():

@@ -58,9 +58,12 @@ def test_default_port():
 
 
 def test_lookup_without_forwarding():
-    sw, _ = make_switch()
-    assert sw.lookup(Packet(src=PLAN.client, dst=PLAN.snic)) == "snic"
-    assert sw.lookup(Packet(src=PLAN.client, dst=PLAN.client)) is None
+    """A destination with no rule and no default reaches no port."""
+    sw, received = make_switch()
+    assert not sw.forward(Packet(src=PLAN.client, dst=PLAN.client, multiplicity=2))
+    assert received == {"snic": [], "host": []}
+    assert sw.unmatched_drops == 2
+    assert sw.stats["snic"].packets == sw.stats["host"].packets == 0
 
 
 def test_port_stats_count_multiplicity():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.hlb import TrafficDirector
 from repro.net.addressing import AddressPlan, Endpoint
 from repro.net.packet import (
     HEADER_BYTES,
@@ -10,6 +11,9 @@ from repro.net.packet import (
     incremental_checksum_update,
     internet_checksum,
 )
+from repro.net.traffic import ConstantRateGenerator, TrafficSpec
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
 
 PLAN = AddressPlan.default()
 
@@ -76,8 +80,12 @@ class TestPacket:
         assert p.payload_bytes == MTU_BYTES - HEADER_BYTES
 
     def test_wire_bits_accounts_multiplicity(self):
-        p = make_packet(size_bytes=100, multiplicity=4)
-        assert p.wire_bits == 100 * 8 * 4
+        """A batched packet's wire bits, as the director's token bucket
+        charges them: size x 8 x multiplicity."""
+        director = TrafficDirector(Simulator(), PLAN, fwd_threshold_gbps=1.0)
+        tokens = director._tokens_bits
+        director.direct(make_packet(size_bytes=100, multiplicity=4))
+        assert tokens - director._tokens_bits == 100 * 8 * 4
 
     def test_unique_ids(self):
         assert make_packet().packet_id != make_packet().packet_id
@@ -201,3 +209,77 @@ class TestMeta:
         p.meta  # allocate an (empty) dict on the request
         r = p.make_response()
         assert r._meta is None  # empty case allocates nothing
+
+
+def _slots(packet):
+    """Every slot but the fresh ``packet_id``, plus the checksum a reader
+    sees (lazy slots compare as unset)."""
+    fields = {
+        name: getattr(packet, name)
+        for name in Packet.__slots__
+        if name != "packet_id"
+    }
+    fields["checksum"] = packet.checksum
+    return fields
+
+
+class TestPositionalConstruction:
+    """``make_response`` and ``_make_packet`` call ``Packet`` positionally
+    on the hot path; a swapped argument (``checksum`` for ``packet_id``,
+    say) would not move any payload sha, so each slot is checked against
+    a keyword-built reference."""
+
+    def test_make_response_matches_keyword_reference(self):
+        request = make_packet(
+            size_bytes=900, payload=("get", 7), flow_id=11,
+            created_at=1.25e-3, multiplicity=4, processed_by="snic",
+        )
+        request.meta["tag"] = ["x"]
+        response = request.make_response()
+        reference = Packet(
+            src=request.dst, dst=request.src, size_bytes=request.size_bytes,
+            payload=None, flow_id=request.flow_id,
+            created_at=request.created_at, multiplicity=request.multiplicity,
+            meta=dict(request.meta),
+        )
+        assert reference.packet_id == response.packet_id + 1
+        assert response.packet_id > request.packet_id
+        assert response._checksum is None  # lazy until first read
+        assert _slots(response) == _slots(reference)
+        assert (response.src, response.dst) == (PLAN.snic, PLAN.client)
+        assert response.processed_by is None
+        assert response.meta == {"tag": ["x"]}
+        assert response.meta is not request.meta
+        assert response.checksum_ok()
+
+    def test_make_response_custom_size_payload_and_empty_meta(self):
+        request = make_packet(size_bytes=1500, multiplicity=2)
+        response = request.make_response(size_bytes=64, payload=b"ok")
+        reference = Packet(
+            src=request.dst, dst=request.src, size_bytes=64, payload=b"ok",
+            flow_id=request.flow_id, created_at=request.created_at,
+            multiplicity=2,
+        )
+        assert _slots(response) == _slots(reference)
+        assert response._meta is None
+        assert response.checksum_ok()
+
+    def test_make_packet_matches_keyword_reference(self):
+        spec = TrafficSpec(
+            packet_bytes=512, batch=3, flow_count=16, flow_mode="random",
+            payload_factory=lambda seq, flow: (seq, flow),
+        )
+        generator = ConstantRateGenerator(PLAN, spec, RngRegistry(5), 1.0)
+        packet = generator._make_packet(2.5e-3)
+        reference = Packet(
+            src=PLAN.client, dst=PLAN.snic, size_bytes=512,
+            payload=(1, packet.flow_id), flow_id=packet.flow_id,
+            created_at=2.5e-3, multiplicity=3,
+        )
+        assert 0 <= packet.flow_id < 16
+        assert reference.packet_id == packet.packet_id + 1
+        assert packet._checksum is None and packet._meta is None
+        assert _slots(packet) == _slots(reference)
+        assert packet.checksum_ok()
+        assert generator.generated_packets == 3
+        assert generator.generated_bytes == 512 * 3
