@@ -234,6 +234,8 @@ class ClusterSystem:
         )
         self.stop_periodic()
         self.sim.run(until=start + duration_s + DRAIN_S)
+        for member in self.members:
+            member.stop_periodic()
 
         metrics = self.metrics
         metrics.offered_gbps = generator.offered_gbps

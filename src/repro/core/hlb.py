@@ -24,7 +24,7 @@ each packet's round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.net.addressing import AddressPlan
 from repro.net.packet import Packet, rewrite_delta
@@ -44,6 +44,12 @@ class TrafficMonitor:
     Batched simulation events make a single hardware window too noisy to
     govern policy, so the monitor smooths window rates with an EWMA —
     functionally equivalent to a hardware moving-average register.
+
+    Windows roll on demand rather than as heap events: ``observe``,
+    ``rate_gbps`` and ``stop`` first roll every window that ended at or
+    before the current instant. Only the monitor reads ``ReceivedBytes``,
+    so the rates are bit-identical to a ``PRIORITY_CONTROL`` recurrence
+    (which pops before a same-instant arrival, hence the inclusive end).
     """
 
     def __init__(
@@ -51,7 +57,6 @@ class TrafficMonitor:
         sim: Simulator,
         window_s: float = 50e-6,
         ewma_alpha: float = 0.25,
-        on_rate: Optional[Callable[[float], None]] = None,
     ) -> None:
         if window_s <= 0:
             raise ValueError("monitor window must be positive")
@@ -60,30 +65,52 @@ class TrafficMonitor:
         self.sim = sim
         self.window_s = window_s
         self.ewma_alpha = ewma_alpha
-        self.on_rate = on_rate
         #: repro.obs tracer; None when untraced (one branch per window)
         self.tracer = None
         self.received_bytes = 0  # the hardware ReceivedBytes register
         self.total_bytes = 0
-        self.rate_gbps = 0.0
-        self._stop = sim.every(window_s, self._roll_window)
+        self._rate_gbps = 0.0
+        #: end of the open window, stepped as ``Simulator.every`` steps
+        #: its firings; infinite once stopped
+        self._next_roll_s = sim.now + window_s
 
-    def observe(self, packet: Packet) -> None:
+    @property
+    def rate_gbps(self) -> float:
+        now = self.sim.now
+        if self._next_roll_s <= now:
+            self._roll_to(now)
+        return self._rate_gbps
+
+    def observe(self, packet: Packet, now: Optional[float] = None) -> None:
+        if now is None:
+            now = self.sim.now
+        if self._next_roll_s <= now:
+            self._roll_to(now)
         nbytes = packet.size_bytes * packet.multiplicity
         self.received_bytes += nbytes
         self.total_bytes += nbytes
 
-    def _roll_window(self) -> None:
-        window_rate = self.received_bytes * 8 / self.window_s / 1e9
-        self.received_bytes = 0
-        self.rate_gbps += self.ewma_alpha * (window_rate - self.rate_gbps)
-        if self.tracer is not None:
-            self.tracer.counter("hlb", "rate_rx_gbps", self.sim.now, self.rate_gbps)
-        if self.on_rate is not None:
-            self.on_rate(self.rate_gbps)
+    def _roll_to(self, now: float) -> None:
+        """Roll, in order, every window whose end ``t <= now``."""
+        t = self._next_roll_s
+        window_s = self.window_s
+        alpha = self.ewma_alpha
+        tracer = self.tracer
+        rate = self._rate_gbps
+        while t <= now:
+            window_rate = self.received_bytes * 8 / window_s / 1e9
+            self.received_bytes = 0
+            rate += alpha * (window_rate - rate)
+            if tracer is not None:
+                tracer.counter("hlb", "rate_rx_gbps", t, rate)
+            t += window_s
+        self._rate_gbps = rate
+        self._next_roll_s = t
 
     def stop(self) -> None:
-        self._stop()
+        """Roll up to the current instant, then freeze the rate."""
+        self._roll_to(self.sim.now)
+        self._next_roll_s = float("inf")
 
 
 @dataclass
@@ -233,7 +260,7 @@ class HardwareLoadBalancer:
         # charging the fixed datapath cost by back-dating creation keeps
         # the event count flat while preserving measured latency
         packet.created_at -= self.datapath_latency_s
-        self.monitor.observe(packet)
+        self.monitor.observe(packet, self.sim._now)
         return self.director.direct(packet)
 
     def egress(self, packet: Packet) -> Packet:

@@ -33,14 +33,14 @@ from repro.lint.index import ModuleSummary, SymbolIndex, summarize_module
 #: randomness are forbidden (they would leak into payload bytes and
 #: therefore into cache keys and identity shas)
 SIM_DOMAIN_PACKAGES: FrozenSet[str] = frozenset(
-    {"sim", "hw", "core", "net", "nf", "cluster", "exp", "flow", "fabric"}
+    {"sim", "hw", "core", "net", "nf", "cluster", "exp", "flow", "fabric", "bench"}
 )
 
 #: packages/modules allowed to read the wall clock: orchestration and
 #: telemetry code that reports wall time but never feeds it back into
 #: simulated results
 WALL_CLOCK_ZONES: FrozenSet[str] = frozenset(
-    {"runner", "obs", "cli", "bench", "__main__", "lint", "serve"}
+    {"runner", "obs", "cli", "__main__", "lint", "serve"}
 )
 
 #: module-level overrides inside otherwise wall-clock packages: the

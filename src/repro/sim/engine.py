@@ -2,8 +2,8 @@
 
 The whole reproduction runs on this small engine: a monotonic simulation
 clock, a binary-heap event queue, and a handful of conveniences for the
-periodic processes (traffic-monitor windows, LBP epochs, power sampling)
-that the HAL system is built from.
+periodic processes (LBP epochs, throughput windows, probe sampling) that
+the HAL system is built from.
 
 Time is expressed in **seconds** as floats; sub-microsecond resolution is
 ample for the microsecond-scale latencies the paper measures.

@@ -110,6 +110,13 @@ class TestClusterSystem:
             m = run_rack("host", "nat", "web", FAST, servers=2, policy=policy)
             assert m.delivered_packets > 0, policy
 
+    def test_run_leaves_no_timer_armed(self):
+        cluster = ClusterSystem("hal", "nat", servers=2, policy="packing")
+        spec = TrafficSpec(packet_bytes=1500, batch=1)
+        generator = ConstantRateGenerator(cluster.plan, spec, cluster.rng, 1.0)
+        cluster.run(generator, 0.01)
+        assert cluster.sim.pending() == 0
+
     def test_front_tier_masquerades_responses(self):
         cluster = ClusterSystem("host", "nat", servers=2, autoscale=False)
         spec = TrafficSpec(packet_bytes=1500, batch=1)

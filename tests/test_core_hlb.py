@@ -44,14 +44,6 @@ class TestTrafficMonitor:
         sim.run(until=10e-6)
         assert monitor.rate_gbps == pytest.approx(5.0)  # half-way toward 10
 
-    def test_callback_invoked(self):
-        sim = Simulator()
-        rates = []
-        monitor = TrafficMonitor(sim, window_s=10e-6, on_rate=rates.append)
-        monitor.on_rate = rates.append
-        sim.run(until=35e-6)
-        assert len(rates) == 3
-
     def test_stop(self):
         sim = Simulator()
         monitor = TrafficMonitor(sim, window_s=10e-6)
@@ -65,6 +57,141 @@ class TestTrafficMonitor:
             TrafficMonitor(sim, window_s=0)
         with pytest.raises(ValueError):
             TrafficMonitor(sim, ewma_alpha=0.0)
+
+
+class ReferenceMonitor:
+    """The window roll as a ``PRIORITY_CONTROL`` recurrence: the exact
+    values the on-demand monitor must reproduce."""
+
+    def __init__(self, sim, window_s, ewma_alpha):
+        self.sim = sim
+        self.window_s = window_s
+        self.ewma_alpha = ewma_alpha
+        self.received_bytes = 0
+        self.rate_gbps = 0.0
+        self.windows = []  # (window end, rate) per roll
+        self.stop = sim.every(window_s, self._roll_window)
+
+    def observe(self, p):
+        self.received_bytes += p.size_bytes * p.multiplicity
+
+    def _roll_window(self):
+        window_rate = self.received_bytes * 8 / self.window_s / 1e9
+        self.received_bytes = 0
+        self.rate_gbps += self.ewma_alpha * (window_rate - self.rate_gbps)
+        self.windows.append((self.sim.now, self.rate_gbps))
+
+
+class CounterLog:
+    def __init__(self):
+        self.samples = []
+
+    def counter(self, category, name, ts, value):
+        self.samples.append((category, name, ts, value))
+
+
+class TestOnDemandMonitor:
+    WINDOW_S = 10e-6
+    ALPHA = 0.3
+
+    def pair(self):
+        sim = Simulator()
+        monitor = TrafficMonitor(sim, window_s=self.WINDOW_S, ewma_alpha=self.ALPHA)
+        reference = ReferenceMonitor(sim, self.WINDOW_S, self.ALPHA)
+        return sim, monitor, reference
+
+    def window_end(self, k):
+        """End of window ``k`` (1-based), summed as the recurrence sums it."""
+        t = 0.0
+        for _ in range(k):
+            t += self.WINDOW_S
+        return t
+
+    def arrive(self, sim, monitor, reference, when, size=1250, mult=10):
+        def deliver():
+            p = packet(size=size, mult=mult)
+            monitor.observe(p)
+            reference.observe(p)
+
+        sim.schedule_at(when, deliver)
+
+    def read_at(self, sim, monitor, reference, when, reads):
+        sim.schedule_at(
+            when, lambda: reads.append((monitor.rate_gbps, reference.rate_gbps))
+        )
+
+    def test_matches_recurrence_across_idle_gaps(self):
+        sim, monitor, reference = self.pair()
+        for when in (3e-6, 4e-6, 17e-6, 5e-3, 5.001e-3, 9e-3):
+            self.arrive(sim, monitor, reference, when)
+        reads = []
+        for when in (25e-6, 4.9e-3, 5.0005e-3, 8.99e-3, 12e-3):
+            self.read_at(sim, monitor, reference, when, reads)
+        sim.run(until=12e-3)
+        assert len(reference.windows) >= 1000
+        assert reads and all(ours == ref for ours, ref in reads)
+        assert reads[1][0] != 0.0  # the gap's decay is still visible
+        assert monitor.rate_gbps == reference.rate_gbps
+
+    def test_packet_exactly_at_window_end_opens_next_window(self):
+        sim, monitor, reference = self.pair()
+        self.arrive(sim, monitor, reference, 2e-6)
+        # an arrival earlier in the same window leaves the cursor exactly
+        # on the window end the next packet lands on
+        self.arrive(sim, monitor, reference, 25e-6, mult=1)
+        self.arrive(sim, monitor, reference, self.window_end(3), mult=30)
+        self.arrive(sim, monitor, reference, 65e-6, mult=1)
+        self.arrive(sim, monitor, reference, self.window_end(7), mult=20)
+        reads = []
+        for k in (3, 4, 7, 8):
+            self.read_at(sim, monitor, reference, self.window_end(k), reads)
+        sim.run(until=self.window_end(9) + 1e-6)
+        assert all(ours == ref for ours, ref in reads)
+        assert monitor.rate_gbps == reference.rate_gbps
+
+    def test_reads_between_windows_are_stable(self):
+        sim, monitor, reference = self.pair()
+        self.arrive(sim, monitor, reference, 1e-6)
+        reads = []
+        for when in (12e-6, 13e-6, 19e-6, 21e-6):
+            self.read_at(sim, monitor, reference, when, reads)
+        sim.run(until=30e-6)
+        assert all(ours == ref for ours, ref in reads)
+        assert reads[0] == reads[1] == reads[2] != reads[3]
+
+    def test_reads_after_stop_are_frozen(self):
+        sim, monitor, reference = self.pair()
+        self.arrive(sim, monitor, reference, 1e-6)
+        self.arrive(sim, monitor, reference, 31e-6)
+        stop_at = self.window_end(4)
+        sim.run(until=stop_at)
+        monitor.stop()
+        reference.stop()
+        frozen = reference.rate_gbps
+        assert monitor.rate_gbps == frozen
+        self.arrive(sim, monitor, reference, 60e-6)
+        sim.run(until=500e-6)
+        assert monitor.rate_gbps == frozen == reference.rate_gbps
+        assert monitor.total_bytes == 3 * 12_500
+
+    def test_tracer_gets_each_window_at_its_own_time(self):
+        sim, monitor, reference = self.pair()
+        monitor.tracer = CounterLog()
+        for when in (2e-6, 33e-6, 34e-6, 300e-6):
+            self.arrive(sim, monitor, reference, when)
+        sim.run(until=400e-6)
+        monitor.stop()
+        assert monitor.tracer.samples == [
+            ("hlb", "rate_rx_gbps", t, rate) for t, rate in reference.windows
+        ]
+
+    def test_hal_system_arms_no_monitor_event(self):
+        from repro.core.hal import HalSystem
+
+        system = HalSystem("nat")
+        # the LBP tick is the only armed event
+        assert system.sim.pending() == 1
+        assert system.sim._heap[0] is system.lbp._stop._event
 
 
 class TestTrafficDirector:

@@ -106,8 +106,19 @@ class TestDet01WallClock:
         def stamp():
             return perf_counter()
         """
-        for path in (OBS, CLI, BENCH):
+        for path in (OBS, CLI):
             assert rules_of(src, path) == []
+
+    def test_bench_pins_are_sim_domain(self):
+        # bench.py computes the pinned payload sha256s: a clock read there
+        # would leak into them
+        src = """
+        from time import perf_counter
+
+        def stamp():
+            return perf_counter()
+        """
+        assert rules_of(src, BENCH) == ["DET01"]
 
     def test_outside_repro_not_flagged(self):
         src = """
