@@ -1,8 +1,8 @@
 """The pinned identity cells: fixed runs whose payload sha256 must not move.
 
 Each cell is a small, fixed simulation: the Fig. 5 packet cell, a HAL
-KVS packet cell, the 2-server packet rack, the 2x2 fabric and six
-flow-mode racks.  Their result-payload SHA-256s are committed under
+KVS packet cell, the 2-server packet rack, the 2x2 fabric, six
+flow-mode racks and five single-server flow-mode runs.  Their result-payload SHA-256s are committed under
 ``identity`` in ``benchmarks/baseline.json``; a change that alters
 simulated results shows up as a moved pin.  :func:`pinned_cells` is the
 one table of cells; ``benchmarks/check_identity.py``, ``repro
@@ -55,6 +55,26 @@ def flow_rack_smoke_specs() -> Dict[str, Any]:
                 kind, "nat", trace, config, servers=servers, policy=policy
             )
     return specs
+
+
+def flow_server_smoke_specs() -> Dict[str, Any]:
+    """The pinned single-server flow-mode cells (100 µs interval, 0.05
+    simulated s, seed 2024): HAL, SLB, host-side SLB and a platform kind
+    at constant rate, plus HAL on the web trace; keyed by the label
+    ``baseline.json`` pins their payload under."""
+    from repro.exp.server import RunConfig
+    from repro.runner.spec import JobSpec
+
+    config = RunConfig(duration_s=0.05, seed=2024, sim_mode="flow")
+    return {
+        "hal nat@80": JobSpec.at_rate("hal", "nat", 80.0, config),
+        "slb nat@80": JobSpec.at_rate(
+            "slb", "nat", 80.0, config, fwd_threshold_gbps=20.0, slb_cores=4
+        ),
+        "host-slb nat@40": JobSpec.at_rate("host-slb", "nat", 40.0, config),
+        "bf3 nat@20": JobSpec.at_rate("bf3", "nat", 20.0, config),
+        "hal nat/web": JobSpec.for_trace("hal", "nat", "web", config),
+    }
 
 
 def payload_sha256(spec: Any) -> str:
@@ -143,6 +163,11 @@ def pinned_cells() -> List[PinnedCell]:
     for label, spec in flow_rack_smoke_specs().items():
         cells.append(PinnedCell(
             f"flow rack {label}", ("flow_rack_payload_sha256", label),
+            lambda spec=spec: payload_sha256(spec),
+        ))
+    for label, spec in flow_server_smoke_specs().items():
+        cells.append(PinnedCell(
+            f"flow server {label}", ("flow_server_payload_sha256", label),
             lambda spec=spec: payload_sha256(spec),
         ))
     return cells
