@@ -488,7 +488,7 @@ def run_fabric_focused(args: argparse.Namespace, config: RunConfig) -> int:
     import hashlib
     import json
 
-    from repro.exp.fabric import run_focused
+    from repro.serve.checkpoint import FabricJobParams, run_resumable
 
     checkpointing = bool(
         args.checkpoint or args.resume or args.pause_at_epoch is not None
@@ -523,17 +523,16 @@ def run_fabric_focused(args: argparse.Namespace, config: RunConfig) -> int:
     result = None
     base_step_wall_s = None
     for count in counts:
-        wall_out: dict = {}
         started = time.time()
-        result = run_focused(
+        outcome = run_resumable(
             config,
+            FabricJobParams(**kwargs),
             shard_jobs=count,
-            wall_out=wall_out,
             telemetry=telemetry,
-            **kwargs,
         )
+        result = outcome.result
         elapsed_s = time.time() - started
-        step_wall_s = sum(wall_out.values())
+        step_wall_s = sum(outcome.wall_s.values())
         if base_step_wall_s is None:
             base_step_wall_s = step_wall_s
         blob = json.dumps(

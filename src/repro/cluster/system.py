@@ -23,15 +23,15 @@ clipped at N× line rate) and runs the diurnal workload against the rack.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional
 
 from repro.cluster.autoscaler import AutoscalerConfig, ManagedServer, RackAutoscaler
 from repro.cluster.fronttier import TOR_LATENCY_S, FrontTierPort
 from repro.cluster.policies import make_policy, member_slots
 from repro.cluster.power import RackPowerConfig, RackPowerModel
 from repro.core import SYSTEM_CLASSES
-from repro.core.systems import DRAIN_S, ServerSystem
-from repro.hw.power import ROLE_SNIC, PowerConfig
+from repro.core.systems import DRAIN_S, ServerSystem, snic_share
+from repro.hw.power import PowerConfig
 from repro.net.addressing import RackAddressPlan
 from repro.net.traffic import (
     LINE_RATE_GBPS,
@@ -59,22 +59,6 @@ def _member_kinds(
                 f"unknown member kind {kind!r}; known: {tuple(table)}"
             )
     return [kinds[i % len(kinds)] for i in range(servers)]
-
-
-def rack_snic_share(members: Sequence[Any]) -> float:
-    """Delivered-bits SNIC share across every rack member, in either mode
-    (forward stages move packets, they don't complete them, so they don't
-    count)."""
-    snic = total = 0
-    for member in members:
-        roles = member.power._roles
-        for engine in member.engines():
-            if engine.forward_stage:
-                continue
-            total += engine.delivered_bits
-            if roles.get(engine.name) == ROLE_SNIC:
-                snic += engine.delivered_bits
-    return snic / total if total > 0 else 0.0
 
 
 class ClusterSystem:
@@ -243,7 +227,7 @@ class ClusterSystem:
         metrics.generated_packets = generator.generated_packets
         metrics.average_power_w = self.rack_power.average_watts()
         metrics.power_breakdown = self.rack_power.breakdown()
-        metrics.snic_share = rack_snic_share(self.members)
+        metrics.snic_share = snic_share(self.members)
         metrics.extras["max_window_gbps"] = max(
             max_window[0], metrics.throughput_gbps
         )

@@ -24,12 +24,29 @@ from typing import Optional
 
 from repro.core.hlb import HardwareLoadBalancer
 from repro.core.lbp import LbpConfig, LoadBalancingPolicy, profiled_initial_threshold
-from repro.core.systems import ServerSystem
+from repro.core.systems import ServerSystem, snic_share
 from repro.hw.cxl import make_cxl_state_domain, make_pcie_state_domain
 from repro.hw.host import make_host_engine
 from repro.hw.power import ROLE_HOST, ROLE_SNIC
+from repro.hw.profiles import FunctionProfile
 from repro.hw.snic import make_snic_engine
 from repro.net.packet import Packet
+
+
+def hal_initial_threshold(
+    profile: FunctionProfile, initial_threshold_gbps: Optional[float]
+) -> float:
+    """The initial ``Fwd_Th`` of a HAL server in either simulation mode:
+    the given value, or 90% of the profiled SLO throughput.  Refuses a
+    function HAL cannot split between SNIC and host."""
+    if not profile.cooperative:
+        raise ValueError(
+            f"{profile.function} cannot be processed cooperatively (§VI: "
+            "the compression accelerator works at file granularity)"
+        )
+    if initial_threshold_gbps is not None:
+        return initial_threshold_gbps
+    return profiled_initial_threshold(profile.slo_gbps, headroom=0.9)
 
 
 class HalSystem(ServerSystem):
@@ -58,11 +75,7 @@ class HalSystem(ServerSystem):
 
     def _build(self) -> None:
         profile = self.profile
-        if not profile.cooperative:
-            raise ValueError(
-                f"{self.function} cannot be processed cooperatively (§VI: "
-                "the compression accelerator works at file granularity)"
-            )
+        threshold = hal_initial_threshold(profile, self.initial_threshold_gbps)
         self.state_domain = None
         if profile.stateful:
             self.state_domain = (
@@ -71,9 +84,6 @@ class HalSystem(ServerSystem):
                 else make_pcie_state_domain()
             )
 
-        threshold = self.initial_threshold_gbps
-        if threshold is None:
-            threshold = profiled_initial_threshold(profile.slo_gbps, headroom=0.9)
         self.hlb = HardwareLoadBalancer(self.sim, self.plan, threshold)
         self.add_stopper(self.hlb.stop)
 
@@ -122,9 +132,7 @@ class HalSystem(ServerSystem):
         self.client_sink(self.hlb.egress(response))
 
     def _finalize(self) -> None:
-        total = self.snic_engine.delivered_bits + self.host_engine.delivered_bits
-        if total > 0:
-            self.metrics.snic_share = self.snic_engine.delivered_bits / total
+        self.metrics.snic_share = snic_share([self])
         self.metrics.extras["fwd_threshold_gbps"] = (
             self.hlb.director.fwd_threshold_gbps
         )

@@ -23,7 +23,7 @@ count packets and doubles the DPDK processing on the forwarded path.
 from __future__ import annotations
 
 from repro.core.hlb import TrafficDirector
-from repro.core.systems import ServerSystem
+from repro.core.systems import ServerSystem, snic_share
 from repro.hw.host import make_host_engine
 from repro.hw.pcie import host_delivery_latency_s
 from repro.hw.platform import ProcessingEngine
@@ -45,6 +45,32 @@ HOST_SLB_PATH_US = 25.0
 SLB_FORWARD_RING_PACKETS = 4096
 #: rx_burst software loops serve burstily, unlike a hardware pipeline
 SLB_SERVICE_JITTER = 0.5
+
+
+#: host-side SLB's forwarding stage: host cores always awake, because
+#: they count and forward every packet
+HOST_SLB_FWD_PROFILE = EngineProfile(
+    name="host-slb-fwd",
+    capacity_gbps=100.0,
+    cores=8,
+    scaling_exponent=1.0,
+    base_latency_us=HOST_SLB_PATH_US,
+    dynamic_power_w=40.0,
+    queue_capacity_packets=512,
+)
+
+
+def slb_nf_cores(
+    snic: EngineProfile, slb_cores: int, total_snic_cores: int
+) -> int:
+    """SNIC cores left to the network function once ``slb_cores`` of the
+    ``total_snic_cores`` forward; at least one must be left."""
+    if not 1 <= slb_cores < total_snic_cores:
+        raise ValueError(
+            f"slb_cores must leave at least one NF core "
+            f"(got {slb_cores} of {total_snic_cores})"
+        )
+    return min(total_snic_cores - slb_cores, snic.cores)
 
 
 def _forward_profile(cores: int) -> EngineProfile:
@@ -72,25 +98,19 @@ class SlbSystem(ServerSystem):
         total_snic_cores: int = 8,
         **kwargs,
     ) -> None:
-        if not 1 <= slb_cores < total_snic_cores:
-            raise ValueError(
-                f"slb_cores must leave at least one NF core "
-                f"(got {slb_cores} of {total_snic_cores})"
-            )
         self.fwd_threshold_gbps = fwd_threshold_gbps
         self.slb_cores = slb_cores
         self.total_snic_cores = total_snic_cores
         super().__init__(function, **kwargs)
 
     def _build(self) -> None:
-        nf_cores = min(
-            self.total_snic_cores - self.slb_cores, self.profile.snic.cores
-        )
         self.snic_engine = make_snic_engine(
             self.sim,
             self.function,
             name_prefix=self.engine_prefix,
-            active_cores=nf_cores,
+            active_cores=slb_nf_cores(
+                self.profile.snic, self.slb_cores, self.total_snic_cores
+            ),
             nf=self.nf,
             functional_rate=self.functional_rate,
             metrics=self.metrics,
@@ -133,9 +153,7 @@ class SlbSystem(ServerSystem):
 
     def _finalize(self) -> None:
         self.metrics.dropped_packets += self.forward_engine.dropped_packets
-        total = self.snic_engine.delivered_bits + self.host_engine.delivered_bits
-        if total > 0:
-            self.metrics.snic_share = self.snic_engine.delivered_bits / total
+        self.metrics.snic_share = snic_share([self])
         self.metrics.extras["forwarded_packets"] = float(
             self.forward_engine.delivered_packets
         )
@@ -154,19 +172,10 @@ class HostSideSlbSystem(ServerSystem):
         super().__init__(function, **kwargs)
 
     def _build(self) -> None:
-        # host cores always awake: they count and forward every packet
         self.host_fwd_engine = ProcessingEngine(
             self.sim,
-            EngineProfile(
-                name="host-slb-fwd",
-                capacity_gbps=100.0,
-                cores=8,
-                scaling_exponent=1.0,
-                base_latency_us=HOST_SLB_PATH_US,
-                dynamic_power_w=40.0,
-                queue_capacity_packets=512,
-            ),
-            name=self.engine_prefix + "host-slb-fwd",
+            HOST_SLB_FWD_PROFILE,
+            name=self.engine_prefix + HOST_SLB_FWD_PROFILE.name,
             delivery_latency_s=host_delivery_latency_s(),
             forward_stage=True,
             on_complete=self._split,
@@ -209,6 +218,4 @@ class HostSideSlbSystem(ServerSystem):
             self.snic_engine.receive(directed)
 
     def _finalize(self) -> None:
-        total = self.snic_engine.delivered_bits + self.host_engine.delivered_bits
-        if total > 0:
-            self.metrics.snic_share = self.snic_engine.delivered_bits / total
+        self.metrics.snic_share = snic_share([self])

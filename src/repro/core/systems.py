@@ -10,10 +10,10 @@ arriving from the client) and :meth:`_build` (which engines exist).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.hw.platform import ProcessingEngine
-from repro.hw.power import PowerConfig, PowerModel
+from repro.hw.power import ROLE_SNIC, PowerConfig, PowerModel
 from repro.hw.profiles import FunctionProfile, get_profile
 from repro.net.addressing import AddressPlan
 from repro.net.capture import CaptureTap
@@ -29,6 +29,23 @@ from repro.sim.rng import RngRegistry
 
 #: simulated drain time after the generator stops, letting queues empty
 DRAIN_S = 0.02
+
+
+def snic_share(systems: Iterable[Any]) -> float:
+    """Delivered-bits SNIC share across ``systems`` (one server or a
+    rack's members), in either simulation mode; 0.0 when nothing was
+    delivered.  Forward stages move packets, they don't complete them,
+    so they don't count."""
+    snic = total = 0
+    for system in systems:
+        roles = system.power._roles
+        for engine in system.engines():
+            if engine.forward_stage:
+                continue
+            total += engine.delivered_bits
+            if roles.get(engine.name) == ROLE_SNIC:
+                snic += engine.delivered_bits
+    return snic / total if total > 0 else 0.0
 
 
 class ServerSystem:

@@ -13,21 +13,20 @@ compare systems relatively.
 
 Result payloads are wall-clock-free and shard-count-independent: the
 same config produces a byte-identical :class:`ExperimentResult` at any
-``--shard-jobs``, which is what the CI identity gate asserts.  Scaling
-*efficiency* (wall-clock vs worker count) is measured by the CLI's
-``--scaling`` path, outside the payload.
+``--shard-jobs``, which is what the CI identity gate asserts.  Every
+focused ``repro fabric`` run, ``--scaling`` included, goes through
+:func:`repro.serve.checkpoint.run_resumable`; scaling *efficiency*
+(wall-clock vs worker count) is measured by the CLI's ``--scaling``
+path, outside the payload.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Sequence
 
 from repro.exp.report import ExperimentResult
 from repro.exp.server import DEFAULT_CONFIG, RunConfig
 from repro.fabric.system import FabricConfig, FabricResult, run_fabric
-
-if TYPE_CHECKING:
-    from repro.obs.fleet import FleetTelemetry
 
 SYSTEMS = ("hal", "host")
 GRID_RACKS = 2
@@ -67,8 +66,8 @@ def fabric_config(
     power_cap_w: float = 0.0,
 ) -> FabricConfig:
     """One member system's :class:`FabricConfig` for a fabric shape
-    (shared by :func:`run_focused` and the resumable serve driver, which
-    must build byte-identical configs)."""
+    (shared by the registered grid and the resumable driver in
+    :mod:`repro.serve.checkpoint`, the one focused-fabric driver)."""
     return FabricConfig(
         racks=racks,
         servers=servers,
@@ -135,9 +134,8 @@ def focused_result(
     mix: str,
     model_hours: float,
 ) -> ExperimentResult:
-    """The empty result shell of one focused fabric run.  Split out of
-    :func:`run_focused` so the resumable driver in
-    :mod:`repro.serve.checkpoint` assembles the identical payload."""
+    """The empty result shell of one focused fabric run, which the
+    resumable driver in :mod:`repro.serve.checkpoint` fills in."""
     return ExperimentResult(
         experiment="fabric",
         title=(
@@ -189,58 +187,3 @@ def run(
         "EXPERIMENTS.md); compare systems relatively"
     )
     return result
-
-
-def run_focused(
-    config: RunConfig = DEFAULT_CONFIG,
-    racks: int = 8,
-    servers: int = GRID_SERVERS,
-    dispatch: str = "packing",
-    mix: str = "mix",
-    model_hours: float = 24.0,
-    policy: str = "packing",
-    power_cap_w: float = 0.0,
-    shard_jobs: int = 1,
-    systems: Sequence[str] = SYSTEMS,
-    wall_out: Optional[dict] = None,
-    telemetry: Optional["FleetTelemetry"] = None,
-) -> ExperimentResult:
-    """One fabric shape, every member system — the CLI's
-    ``repro fabric --racks N --shard-jobs K --hours H`` path.
-
-    ``wall_out`` (never part of the payload) receives per-system
-    step wall-clock from the sharded runner for the CLI to print.
-    ``telemetry`` attaches the fleet telemetry plane to every member
-    system's run (labelled by system); the payload is unchanged.
-    """
-    result = focused_result(racks, servers, dispatch, mix, model_hours)
-    from repro.fabric.shard import SHARD_FACTORY
-    from repro.runner.sharded import ShardedRunner
-
-    for system in systems:
-        cfg = fabric_config(
-            config,
-            system,
-            racks=racks,
-            servers=servers,
-            dispatch=dispatch,
-            mix=mix,
-            model_hours=model_hours,
-            policy=policy,
-            power_cap_w=power_cap_w,
-        )
-        runner = ShardedRunner(
-            cfg.shard_specs(telemetry=telemetry is not None),
-            SHARD_FACTORY,
-            jobs=shard_jobs,
-        )
-        try:
-            outcome = run_fabric(
-                cfg, runner=runner, telemetry=telemetry, label=system
-            )
-            if wall_out is not None:
-                wall_out[system] = runner.step_wall_s
-        finally:
-            runner.close()
-        add_fabric_row(result, cfg, outcome)
-    return finalize_focused(result)

@@ -13,7 +13,7 @@ reach datacenter scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,21 @@ class FlowBatch:
             raise ValueError(f"split fraction must be in [0, 1] (got {fraction})")
         return FlowBatch(
             self.start_s, self.duration_s, self.rate_gbps * fraction, self.packet_bytes
+        )
+
+    def steer(self, threshold_gbps: float) -> Tuple["FlowBatch", "FlowBatch"]:
+        """``(kept, excess)``: a ``Fwd_Th`` rate split applied to the whole
+        train, keeping min(rate, threshold) and passing on the rest."""
+        rate = self.rate_gbps
+        kept = 1.0 if rate <= threshold_gbps else threshold_gbps / rate
+        return self.split(kept), self.split(1.0 - kept)
+
+    def forwarded(self, served_packets: float) -> "FlowBatch":
+        """The train a forward stage passes on: the packets it served out
+        of this train, as a constant-rate train over the same interval."""
+        rate_gbps = served_packets * self.packet_bits / self.duration_s / 1e9
+        return FlowBatch(
+            self.start_s, self.duration_s, rate_gbps, self.packet_bytes
         )
 
 

@@ -28,8 +28,8 @@ from repro.cluster.autoscaler import (
 from repro.cluster.fronttier import TOR_LATENCY_S
 from repro.cluster.policies import POLICIES, ServerSlot, member_slots
 from repro.cluster.power import RackPowerConfig, RackPowerModel
-from repro.cluster.system import _member_kinds, rack_snic_share, scaled_trace
-from repro.core.systems import DRAIN_S
+from repro.cluster.system import _member_kinds, scaled_trace
+from repro.core.systems import DRAIN_S, snic_share
 from repro.flow.batch import FlowBatch
 from repro.flow.source import TraceRateSource
 from repro.flow.system import (
@@ -321,7 +321,6 @@ class RackStepper:
                 packet_bytes=cluster.packet_bytes,
             )
             member._tick(batch, self.train_multiplicity)
-            member.power.update_all()
         if index == self.offered_intervals - 1:
             self._frozen["final_backlog_packets"] = cluster.total_backlog_packets()
             if cluster.autoscaler is not None:
@@ -438,7 +437,7 @@ class RackStepper:
                 (latency + tor_s, weight) for latency, weight in member._samples
             )
         fill_reservoir(metrics.latency, samples)
-        metrics.snic_share = rack_snic_share(cluster.members)
+        metrics.snic_share = snic_share(cluster.members)
         extras = metrics.extras
         extras["max_window_gbps"] = max(
             self._max_window_gbps, metrics.throughput_gbps

@@ -21,8 +21,11 @@ The station also exposes the exact duck-typed surface that
 :mod:`repro.cluster.autoscaler` read from a real engine —
 ``delivered_bits``, ``active_cores``, ``_rings[q].occupancy_packets``,
 ``_in_pipeline``, ``busy_cores``, ``total_queued_packets()``,
-``sleeping``/``sleep_enabled``/``_notify_power()`` — so Algorithm 1 and
-the rack autoscaler run **unmodified** against fluid state.
+``sleeping``/``sleep_enabled``/``_notify_power()`` — so Algorithm 1,
+the rack autoscaler and :class:`repro.hw.power.PowerModel` run
+**unmodified** against fluid state.  A station notifies its power
+callback once at the end of every ``advance()``, after its utilisation
+and sleep state for the interval are settled.
 """
 
 from __future__ import annotations
@@ -112,7 +115,6 @@ class FlowStation:
         self.sleep_enabled = sleep_enabled
         self.wake_latency_s = wake_latency_s
         self.sleep_after_idle_s = sleep_after_idle_s
-        self.dynamic_power_w = profile.dynamic_power_w
         self._ring_capacity_packets = profile.queue_capacity_packets * self.active_cores
 
         # fluid state
@@ -133,7 +135,7 @@ class FlowStation:
         # LBP/dpdk shim surface
         self._rings = [RingView() for _ in range(self.active_cores)]
         self._in_pipeline = [0] * self.active_cores
-        self._on_power_change = on_power_change
+        self.on_power_change = on_power_change
 
     # -- engine-compatible surface --------------------------------------
     @property
@@ -158,8 +160,8 @@ class FlowStation:
         return max(ring.occupancy_packets for ring in self._rings)
 
     def _notify_power(self) -> None:
-        if self._on_power_change is not None:
-            self._on_power_change(self)
+        if self.on_power_change is not None:
+            self.on_power_change(self)
 
     # -- internals -------------------------------------------------------
     def _per_packet_service_s(self, packet_bits: int) -> float:
@@ -207,7 +209,6 @@ class FlowStation:
                 self.sleeping = False
                 self._wake_remaining_s = self.wake_latency_s
                 self.wake_count += 1
-                self._notify_power()
         if self._wake_remaining_s > 0:
             wake_used = min(dt, self._wake_remaining_s)
             self._wake_remaining_s -= wake_used
@@ -282,7 +283,7 @@ class FlowStation:
                 and self._idle_s >= self.sleep_after_idle_s
             ):
                 self.sleeping = True
-                self._notify_power()
+        self._notify_power()
 
         return StationTick(
             in_packets=arriving,

@@ -9,23 +9,28 @@ why SNIC processing wins at low rates: it avoids the host's polling and
 dynamic power entirely while adding almost nothing itself.
 
 :class:`PowerModel` tracks every :class:`~repro.hw.platform.ProcessingEngine`
-and integrates component power over simulated time:
+(packet mode) or :class:`~repro.flow.station.FlowStation` (flow mode) and
+integrates component power over simulated time:
 
 * host engines: ``poll_w_per_core × cores`` while awake (DPDK busy-poll),
   plus ``dynamic_power_w × utilisation`` while processing;
 * SNIC engines: ``dynamic_power_w × utilisation`` (the 29 W SNIC idle
   floor is part of the system idle);
+* a sleeping engine draws nothing;
 * constant adders (e.g. the HLB FPGA's <0.1 W).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-from repro.hw.platform import ProcessingEngine
 from repro.sim.engine import Simulator
 from repro.sim.metrics import PowerIntegrator, TimeSeries
+
+if TYPE_CHECKING:
+    from repro.flow.station import FlowStation
+    from repro.hw.platform import ProcessingEngine
 
 ROLE_HOST = "host"
 ROLE_SNIC = "snic"
@@ -88,7 +93,9 @@ class PowerModel:
             tracer.counter("power", f"{role}:{name}_w", now, level)
 
     # -- engine tracking -------------------------------------------------
-    def track(self, engine: ProcessingEngine, role: str) -> None:
+    def track(
+        self, engine: Union[ProcessingEngine, FlowStation], role: str
+    ) -> None:
         """Attach ``engine`` to the model; called once after construction."""
         if role not in (ROLE_HOST, ROLE_SNIC):
             raise ValueError(f"unknown power role {role!r}")
@@ -107,20 +114,18 @@ class PowerModel:
 
         if role == ROLE_HOST:
 
-            def changed(e: ProcessingEngine) -> None:
-                # same reads as the utilization/now properties, sans the
-                # descriptor calls — this fires on every busy/idle edge
-                watts = dynamic_w * (e._busy_count / e.active_cores)
-                if not e.sleeping:
-                    watts += poll_w * e.active_cores
+            def changed(e: Union[ProcessingEngine, FlowStation]) -> None:
+                watts = (
+                    0.0 if e.sleeping
+                    else dynamic_w * e.utilization + poll_w * e.active_cores
+                )
                 integrator.set_level(name, watts, sim._now)
 
         else:
 
-            def changed(e: ProcessingEngine) -> None:
-                integrator.set_level(
-                    name, dynamic_w * (e._busy_count / e.active_cores), sim._now
-                )
+            def changed(e: Union[ProcessingEngine, FlowStation]) -> None:
+                watts = 0.0 if e.sleeping else dynamic_w * e.utilization
+                integrator.set_level(name, watts, sim._now)
 
         engine.on_power_change = changed
         changed(engine)

@@ -1,8 +1,11 @@
 """Resumable fabric experiments: pause at a barrier, persist, resume.
 
-The driver replays :func:`repro.exp.fabric.run_focused` exactly — same
-result shell, same per-system :class:`~repro.fabric.system.FabricConfig`,
-same row/note assembly — but threads the ``pause``/``resume`` hooks of
+This is the one focused-fabric driver: every focused ``repro fabric``
+run, ``--scaling`` included, goes through :func:`run_resumable`.  It
+builds the result shell, the per-system
+:class:`~repro.fabric.system.FabricConfig` and the rows and notes with
+the helpers of :mod:`repro.exp.fabric`, and threads the
+``pause``/``resume`` hooks of
 :func:`~repro.fabric.system.run_fabric` through a caller-owned
 :class:`~repro.runner.sharded.ShardedRunner`, snapshotting every rack
 shard with :mod:`repro.serve.state` when the run pauses.  A checkpoint

@@ -8,7 +8,6 @@ import pytest
 
 import repro.exp  # noqa: F401  (import order: exp must load before runner)
 from repro.cli import check_process_budget
-from repro.exp.fabric import run_focused
 from repro.exp.server import RunConfig
 from repro.fabric.control import FleetBalancer, FleetControlConfig, spawn_rack_name
 from repro.fabric.shard import RackShardSpec, build_rack_shard
@@ -26,6 +25,7 @@ from repro.runner.sharded import (
     _partition,
     resolve_factory,
 )
+from repro.serve.checkpoint import FabricJobParams, run_resumable
 from repro.sim.rng import RngRegistry, spawn_seed
 
 # -- dummy shard for runner protocol tests (module-level: resolvable by
@@ -351,16 +351,11 @@ FAST = RunConfig(duration_s=0.1, seed=2024)
 
 
 def _fabric_blob(shard_jobs):
-    result = run_focused(
-        FAST,
-        racks=4,
-        servers=2,
-        dispatch="packing",
-        mix="mix",
-        model_hours=24.0,
-        shard_jobs=shard_jobs,
+    params = FabricJobParams(
+        racks=4, servers=2, dispatch="packing", mix="mix", model_hours=24.0,
         systems=("hal",),
     )
+    result = run_resumable(FAST, params, shard_jobs=shard_jobs).result
     return json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
 
 

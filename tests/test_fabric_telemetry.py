@@ -13,7 +13,6 @@ import pytest
 
 import repro.exp  # noqa: F401  (import order: exp must load before runner)
 from repro.cli import main as cli_main
-from repro.exp.fabric import run_focused
 from repro.exp.server import RunConfig
 from repro.obs import log as obs_log
 from repro.obs.export import (
@@ -25,6 +24,7 @@ from repro.obs.fleet import FleetTelemetry
 from repro.obs.journal import read_journal
 from repro.obs.slo import parse_slo_rule
 from repro.runner.sharded import ShardedRunner
+from repro.serve.checkpoint import FabricJobParams, run_resumable
 
 FAST = RunConfig(duration_s=0.1, seed=2024)
 
@@ -62,17 +62,13 @@ def _sha(result) -> str:
 
 
 def _run(shard_jobs, telemetry=None):
-    return run_focused(
-        FAST,
-        racks=4,
-        servers=2,
-        dispatch="packing",
-        mix="mix",
-        model_hours=24.0,
-        shard_jobs=shard_jobs,
+    params = FabricJobParams(
+        racks=4, servers=2, dispatch="packing", mix="mix", model_hours=24.0,
         systems=("hal",),
-        telemetry=telemetry,
     )
+    return run_resumable(
+        FAST, params, shard_jobs=shard_jobs, telemetry=telemetry
+    ).result
 
 
 @pytest.fixture(scope="module")
