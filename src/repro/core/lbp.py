@@ -129,35 +129,43 @@ class LoadBalancingPolicy:
     def advance_to(self, now: float) -> None:
         """Evaluate, in order, every tick due at or before ``now``.
 
-        Each tick samples SNIC_TP at its own time and makes one
-        :meth:`set_forward_rate` call.  When no bits were delivered since
-        the last sample the estimate is exactly 0.0, so the sample is
-        skipped and only its timestamp moves.
+        Each tick makes one :meth:`set_forward_rate` call, at its own
+        time.  No simulated time passes inside this call and Algorithm 1
+        never moves ``delivered_bits``, so only the first tick can see
+        bits delivered since the last sample; every later tick's SNIC_TP
+        estimate is exactly 0.0, as is the first's when nothing was
+        delivered.  The estimator's timestamp and the cursor are written
+        once, after the last tick.  A call with no tick due changes
+        nothing.
         """
         t = self.next_tick_s
+        if t > now:
+            return
         period = self.config.period_s
         estimator = self._estimator
-        engine = self.engine
+        set_forward_rate = self.set_forward_rate
+        self._tick_s = t
+        if self.engine.delivered_bits == estimator._last_bits:
+            set_forward_rate(0.0)
+        else:
+            set_forward_rate(estimator.sample(t))
+        last = t
+        t = t + period
         while t <= now:
             self._tick_s = t
-            if engine.delivered_bits == estimator._last_bits:
-                estimator._last_time = t
-                snic_tp = 0.0
-            else:
-                snic_tp = estimator.sample(t)
-            self.set_forward_rate(snic_tp)
+            set_forward_rate(0.0)
+            last = t
             t = t + period
-            self.next_tick_s = t
+        estimator._last_time = last
+        self.next_tick_s = t
         self._tick_s = None
 
     def set_forward_rate(self, snic_tp_gbps: float) -> None:
         """One Algorithm 1 evaluation with the given SNIC_TP estimate,
         at the time of the tick being evaluated (else the current time)."""
-        now = self._tick_s
-        if now is None:
-            now = self.sim.now
         cfg = self.config
-        fwd_th = old_th = self.director.fwd_threshold_gbps
+        # the register itself, not the property: this runs every tick
+        fwd_th = old_th = self.director._fwd_threshold_gbps
         occupancy = -1  # not inspected (the "idle" early-out)
         if fwd_th >= snic_tp_gbps + cfg.delta_tp_gbps:
             # SNIC comfortably below threshold; leave Fwd_Th alone
@@ -186,14 +194,20 @@ class LoadBalancingPolicy:
             else:
                 direction = "hold"
             if direction != "hold":
-                self.director.set_threshold(fwd_th, now)
+                self.director.set_threshold(fwd_th, self._tick_time())
                 self.threshold_history.append(fwd_th)
                 if self.on_update is not None:
                     self.on_update(fwd_th)
         if self.tracer is not None:
             self._trace_decision(
-                now, snic_tp_gbps, occupancy, old_th, fwd_th, direction
+                self._tick_time(), snic_tp_gbps, occupancy, old_th, fwd_th,
+                direction,
             )
+
+    def _tick_time(self) -> float:
+        """The time of the tick being evaluated, else the current time
+        (read only when a tick writes the register or is traced)."""
+        return self.sim.now if self._tick_s is None else self._tick_s
 
     def _trace_decision(  # lint: disable=OBS01 caller holds the single is-not-None branch
         self,

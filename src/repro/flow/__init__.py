@@ -12,7 +12,7 @@ declared agreement tolerances checked by ``repro validate-flow``.
 from repro.flow.batch import FlowBatch, batch_train
 from repro.flow.cluster import FlowClusterSystem, run_rack_flow
 from repro.flow.source import ConstantRateSource, TraceRateSource
-from repro.flow.station import FlowStation, StationTick
+from repro.flow.station import FlowStation
 from repro.flow.system import (
     FlowServerSystem,
     build_flow_system,
@@ -36,7 +36,6 @@ __all__ = [
     "ConstantRateSource",
     "TraceRateSource",
     "FlowStation",
-    "StationTick",
     "FlowServerSystem",
     "build_flow_system",
     "run_at_rate_flow",

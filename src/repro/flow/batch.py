@@ -12,28 +12,39 @@ reach datacenter scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 
-@dataclass(frozen=True)
 class FlowBatch:
     """One arrival train: ``packets`` packets of ``packet_bytes`` each,
     arriving at a constant envelope rate over ``duration_s`` starting at
-    ``start_s``."""
+    ``start_s``.
 
-    start_s: float
-    duration_s: float
-    rate_gbps: float
-    packet_bytes: int
+    A plain ``__slots__`` value object, not a dataclass: every server
+    builds up to three per interval, so construction stays one checked
+    ``__init__`` with no per-field ``object.__setattr__``.  Treat a batch
+    as immutable; :meth:`split`, :meth:`steer` and :meth:`forwarded`
+    return new ones."""
 
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"batch duration must be positive ({self.duration_s})")
-        if self.rate_gbps < 0:
-            raise ValueError(f"batch rate cannot be negative ({self.rate_gbps})")
-        if self.packet_bytes <= 0:
-            raise ValueError(f"packet size must be positive ({self.packet_bytes})")
+    __slots__ = ("start_s", "duration_s", "rate_gbps", "packet_bytes")
+
+    def __init__(
+        self,
+        start_s: float,
+        duration_s: float,
+        rate_gbps: float,
+        packet_bytes: int,
+    ) -> None:
+        if duration_s <= 0:
+            raise ValueError(f"batch duration must be positive ({duration_s})")
+        if rate_gbps < 0:
+            raise ValueError(f"batch rate cannot be negative ({rate_gbps})")
+        if packet_bytes <= 0:
+            raise ValueError(f"packet size must be positive ({packet_bytes})")
+        self.start_s = start_s
+        self.duration_s = duration_s
+        self.rate_gbps = rate_gbps
+        self.packet_bytes = packet_bytes
 
     @property
     def packet_bits(self) -> int:

@@ -313,14 +313,13 @@ class RackStepper:
         if offered:
             self._generated_packets += rate * 1e9 * interval / packet_bits
         shares = cluster.front.dispatch(rate, interval, packet_bits)
+        start_s = sim.now - interval
+        packet_bytes = cluster.packet_bytes
+        multiplicity = self.train_multiplicity
         for member, share in zip(cluster.members, shares):
-            batch = FlowBatch(
-                start_s=sim.now - interval,
-                duration_s=interval,
-                rate_gbps=share,
-                packet_bytes=cluster.packet_bytes,
+            member._tick(
+                FlowBatch(start_s, interval, share, packet_bytes), multiplicity
             )
-            member._tick(batch, self.train_multiplicity)
         if index == self.offered_intervals - 1:
             self._frozen["final_backlog_packets"] = cluster.total_backlog_packets()
             if cluster.autoscaler is not None:

@@ -26,12 +26,19 @@ the rack autoscaler and :class:`repro.hw.power.PowerModel` run
 **unmodified** against fluid state.  A station notifies its power
 callback once at the end of every ``advance()``, after its utilisation
 and sleep state for the interval are settled.
+
+``advance()`` is the flow tick's inner step, run once per stage per
+server per interval, so it is written flat: it appends its latency
+samples straight into a list the caller owns, returns only the served
+and dropped packet counts, and spells each ``min``/``max`` as the
+comparison the builtin makes (``min(a, b)`` is ``b`` only if ``b < a``,
+``max(a, b)`` is ``b`` only if ``b > a``), so every float, tie and type
+is the one the builtins would give.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.flow.batch import FlowBatch
@@ -43,10 +50,14 @@ RATE_TAU_S = 2e-3
 
 #: quantile points sampled along each interval's arrival envelope
 LATENCY_QUANTILES = (0.125, 0.375, 0.625, 0.875)
+_QUANTILE_COUNT = len(LATENCY_QUANTILES)
 
 #: Kingman utilisation clamp: the VUT term diverges at ρ→1, where the
 #: fluid backlog wait takes over anyway
 KINGMAN_MAX_RHO = 0.98
+
+#: (latency_s, weight_packets) pairs, one per served quantile point
+LatencySamples = List[Tuple[float, float]]
 
 
 class RingView:
@@ -59,22 +70,13 @@ class RingView:
         self.occupancy_packets = 0
 
 
-@dataclass
-class StationTick:
-    """What one ``advance()`` call produced."""
-
-    in_packets: float
-    served_packets: float
-    dropped_packets: float
-    busy_fraction: float
-    #: (latency_s, weight_packets) pairs for the served packets
-    samples: List[Tuple[float, float]] = field(default_factory=list)
-
-    def mean_latency_s(self) -> float:
-        weight = sum(w for _, w in self.samples)
-        if weight <= 0:
-            return 0.0
-        return sum(latency * w for latency, w in self.samples) / weight
+def mean_latency_s(samples: LatencySamples) -> float:
+    """Weighted mean latency of ``samples`` (0.0 when they weigh nothing);
+    a forward stage hands this to the stage after it."""
+    weight = sum(w for _, w in samples)
+    if weight <= 0:
+        return 0.0
+    return sum(latency * w for latency, w in samples) / weight
 
 
 class FlowStation:
@@ -110,6 +112,17 @@ class FlowStation:
         # the profile cv² plus the uniform batch jitter's variance
         self._service_cs_sq = costs.service_cv_sq + service_jitter**2 / 3.0
         self._capacity_gbps = costs.capacity_gbps
+        #: the SLO knee the overload ramp starts from; None when this
+        #: station has no ramp (no knee, no ramp latency, or a knee at or
+        #: above capacity)
+        knee = profile.slo_knee_gbps
+        self._ramp_knee_gbps: Optional[float] = (
+            knee
+            if knee is not None
+            and self._overload_ramp_s > 0
+            and not self._capacity_gbps <= knee
+            else None
+        )
         self.delivery_latency_s = delivery_latency_s
         self.forward_stage = forward_stage
         self.sleep_enabled = sleep_enabled
@@ -132,8 +145,9 @@ class FlowStation:
         self.dropped_packets = 0.0
         self.wake_count = 0
 
-        # LBP/dpdk shim surface
-        self._rings = [RingView() for _ in range(self.active_cores)]
+        # LBP/dpdk shim surface: the fluid backlog spreads evenly over the
+        # queues, so every queue is one shared ring view
+        self._rings = [RingView()] * self.active_cores
         self._in_pipeline = [0] * self.active_cores
         self.on_power_change = on_power_change
 
@@ -157,36 +171,29 @@ class FlowStation:
         return int(self.backlog_packets)
 
     def rx_queue_occupancy(self) -> int:
-        return max(ring.occupancy_packets for ring in self._rings)
+        # every queue holds the same occupancy (one shared ring view)
+        return self._rings[0].occupancy_packets
 
     def _notify_power(self) -> None:
         if self.on_power_change is not None:
             self.on_power_change(self)
 
-    # -- internals -------------------------------------------------------
-    def _per_packet_service_s(self, packet_bits: int) -> float:
-        return packet_bits / self._per_core_bps + self._per_packet_overhead_s
-
-    def _overload_latency_s(self) -> float:
-        knee = self.profile.slo_knee_gbps
-        if knee is None or self._overload_ramp_s <= 0:
-            return 0.0
-        cap = self._capacity_gbps
-        if cap <= knee:
-            return 0.0
-        frac = (self._rate_bps_ewma / 1e9 - knee) / (cap - knee)
-        if frac <= 0:
-            return 0.0
-        return self._overload_ramp_s * min(1.0, frac) ** 2
-
-    def _update_rings(self) -> None:
-        occupancy = int(self.backlog_packets / self.active_cores + 0.5)
-        for ring in self._rings:
-            ring.occupancy_packets = occupancy
-
     # -- the analytic expansion -----------------------------------------
-    def advance(self, batch: FlowBatch, train_multiplicity: int = 1) -> StationTick:
+    def advance(
+        self,
+        batch: FlowBatch,
+        samples: LatencySamples,
+        train_multiplicity: int = 1,
+        extra_latency_s: float = 0.0,
+    ) -> Tuple[float, float]:
         """Expand one arrival train through this stage.
+
+        Appends one ``(latency_s + extra_latency_s, weight)`` sample per
+        quantile point to ``samples`` when the stage served anything, and
+        returns ``(served_packets, dropped_packets)``.  ``extra_latency_s``
+        is the latency the caller's path adds after this stage (the HLB
+        hop, a forward stage's mean); it is added last, so each sample is
+        the float the stage latency plus the extra gives.
 
         ``train_multiplicity`` is the wire-batch size the packet-mode
         generator would have used at this offered rate: packet mode
@@ -196,10 +203,11 @@ class FlowStation:
         latency floors agree.
         """
         dt = batch.duration_s
-        arriving = batch.packets
-        packet_bits = batch.packet_bits
-        per_packet_s = self._per_packet_service_s(packet_bits)
-        mu_pps = self.active_cores / per_packet_s
+        packet_bits = batch.packet_bytes * 8
+        arriving = batch.rate_gbps * 1e9 * dt / packet_bits
+        cores = self.active_cores
+        per_packet_s = packet_bits / self._per_core_bps + self._per_packet_overhead_s
+        mu_pps = cores / per_packet_s
 
         # sleep/wake, same constants as the engine
         wake_used = 0.0
@@ -209,39 +217,48 @@ class FlowStation:
                 self.sleeping = False
                 self._wake_remaining_s = self.wake_latency_s
                 self.wake_count += 1
-        if self._wake_remaining_s > 0:
-            wake_used = min(dt, self._wake_remaining_s)
-            self._wake_remaining_s -= wake_used
+        wake_remaining = self._wake_remaining_s
+        if wake_remaining > 0:
+            wake_used = wake_remaining if wake_remaining < dt else dt
+            self._wake_remaining_s = wake_remaining - wake_used
 
         # fluid queue update over the service-available fraction
         service_budget = mu_pps * (dt - wake_used)
         backlog_0 = self.backlog_packets
         total = backlog_0 + arriving
-        served = min(total, service_budget)
+        served = service_budget if service_budget < total else total
         backlog_1 = total - served
-        dropped = max(0.0, backlog_1 - self._ring_capacity_packets)
-        backlog_1 = min(backlog_1, self._ring_capacity_packets)
+        ring_capacity = self._ring_capacity_packets
+        excess = backlog_1 - ring_capacity
+        dropped = excess if excess > 0.0 else 0.0
+        if ring_capacity < backlog_1:
+            backlog_1 = ring_capacity
 
         # delivered-rate EWMA → overload penalty (discrete-interval form
         # of the engine's per-delivery exponential update)
         decay = math.exp(-dt / RATE_TAU_S)
         delivered_bps = served * packet_bits / dt
-        self._rate_bps_ewma = self._rate_bps_ewma * decay + delivered_bps * (
-            1.0 - decay
-        )
-        overload_s = self._overload_latency_s()
+        rate_bps = self._rate_bps_ewma * decay + delivered_bps * (1.0 - decay)
+        self._rate_bps_ewma = rate_bps
+        overload_s = 0.0
+        knee = self._ramp_knee_gbps
+        if knee is not None:
+            frac = (rate_bps / 1e9 - knee) / (self._capacity_gbps - knee)
+            if not frac <= 0:
+                overload_s = self._overload_ramp_s * (frac if frac < 1.0 else 1.0) ** 2
 
         # latency: quantile samples along the arrival envelope
-        lam_pps = arriving / dt
-        rho = min(KINGMAN_MAX_RHO, lam_pps / mu_pps)
-        samples: List[Tuple[float, float]] = []
         if served > 0:
+            lam_pps = arriving / dt
+            rho = lam_pps / mu_pps
+            if not rho < KINGMAN_MAX_RHO:
+                rho = KINGMAN_MAX_RHO
             service_component_s = per_packet_s * (train_multiplicity + 1) / 2.0
             kingman_wait_s = (
                 rho
                 / (1.0 - rho)
                 * (self._service_cs_sq / 2.0)
-                * (per_packet_s / self.active_cores)
+                * (per_packet_s / cores)
             )
             fixed_s = (
                 service_component_s
@@ -249,20 +266,27 @@ class FlowStation:
                 + self.delivery_latency_s
                 + overload_s
             )
-            weight = served / len(LATENCY_QUANTILES)
+            weight = served / _QUANTILE_COUNT
+            ring_capacity_f = float(ring_capacity)
             for q in LATENCY_QUANTILES:
                 elapsed = q * dt
                 backlog_q = backlog_0 + lam_pps * elapsed
-                backlog_q -= mu_pps * max(0.0, elapsed - wake_used)
-                backlog_q = min(
-                    max(0.0, backlog_q), float(self._ring_capacity_packets)
+                serving_s = elapsed - wake_used
+                if serving_s > 0.0:
+                    backlog_q -= mu_pps * serving_s
+                if not backlog_q > 0.0:
+                    backlog_q = 0.0
+                elif ring_capacity_f < backlog_q:
+                    backlog_q = ring_capacity_f
+                wait_s = backlog_q / mu_pps
+                if kingman_wait_s > wait_s:
+                    wait_s = kingman_wait_s
+                wake_wait_s = wake_used - elapsed
+                if not wake_wait_s > 0.0:
+                    wake_wait_s = 0.0
+                samples.append(
+                    (wait_s + wake_wait_s + fixed_s + extra_latency_s, weight)
                 )
-                fluid_wait_s = backlog_q / mu_pps
-                wake_wait_s = max(0.0, wake_used - elapsed)
-                latency = (
-                    max(fluid_wait_s, kingman_wait_s) + wake_wait_s + fixed_s
-                )
-                samples.append((latency, weight))
 
         # counters + shim state
         self.backlog_packets = backlog_1
@@ -270,9 +294,9 @@ class FlowStation:
         self.delivered_packets += served
         self.delivered_bits += served * packet_bits
         self.dropped_packets += dropped
-        busy = min(1.0, served * per_packet_s / (self.active_cores * dt))
-        self._last_busy_fraction = busy
-        self._update_rings()
+        busy = served * per_packet_s / (cores * dt)
+        self._last_busy_fraction = busy if busy < 1.0 else 1.0
+        self._rings[0].occupancy_packets = int(backlog_1 / cores + 0.5)
 
         # idle → sleep (engine parks cores after sleep_after_idle_s)
         if arriving <= 0 and served <= 0 and backlog_1 <= 0:
@@ -283,12 +307,8 @@ class FlowStation:
                 and self._idle_s >= self.sleep_after_idle_s
             ):
                 self.sleeping = True
-        self._notify_power()
+        on_power_change = self.on_power_change
+        if on_power_change is not None:
+            on_power_change(self)
+        return served, dropped
 
-        return StationTick(
-            in_packets=arriving,
-            served_packets=served,
-            dropped_packets=dropped,
-            busy_fraction=busy,
-            samples=samples,
-        )

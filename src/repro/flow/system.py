@@ -35,7 +35,7 @@ from repro.core.static import PLATFORMS, SNIC_PLATFORMS
 from repro.core.systems import DRAIN_S, snic_share
 from repro.flow.batch import FlowBatch
 from repro.flow.source import ConstantRateSource, TraceRateSource
-from repro.flow.station import FlowStation, StationTick
+from repro.flow.station import FlowStation, LatencySamples, mean_latency_s
 from repro.hw.host import host_engine_profile
 from repro.hw.pcie import host_delivery_latency_s, snic_delivery_latency_s
 from repro.hw.power import ROLE_HOST, ROLE_SNIC, PowerConfig, PowerModel
@@ -99,7 +99,7 @@ class FlowServerSystem:
         self.engine_prefix = f"{instance}:" if instance else ""
         self.power = PowerModel(self.sim, power_config)
 
-        self._samples: List[Tuple[float, float]] = []
+        self._samples: LatencySamples = []
         self._generated_packets = 0.0
         self._delivered_packets = 0.0
         self._delivered_bits = 0.0
@@ -158,21 +158,28 @@ class FlowServerSystem:
         batch: FlowBatch,
         train_multiplicity: int,
         extra_latency_s: float = 0.0,
-        record: bool = True,
-    ) -> StationTick:
-        tick = station.advance(batch, train_multiplicity)
-        self._dropped_packets += tick.dropped_packets
-        if record:
-            self._delivered_packets += tick.served_packets
-            self._delivered_bits += tick.served_packets * batch.packet_bits
-            if extra_latency_s > 0:
-                self._samples.extend(
-                    (latency + extra_latency_s, weight)
-                    for latency, weight in tick.samples
-                )
-            else:
-                self._samples.extend(tick.samples)
-        return tick
+    ) -> float:
+        """Advance a stage whose output leaves the server; its samples,
+        plus ``extra_latency_s``, go straight into the run's sample list.
+        Returns the packets it served."""
+        served, dropped = station.advance(
+            batch, self._samples, train_multiplicity, extra_latency_s
+        )
+        self._dropped_packets += dropped
+        self._delivered_packets += served
+        self._delivered_bits += served * batch.packet_bits
+        return served
+
+    def _forward(
+        self, station: FlowStation, batch: FlowBatch, train_multiplicity: int
+    ) -> Tuple[FlowBatch, float]:
+        """Advance a forward stage: ``(train it passes on, its mean
+        latency)``, which the next stage carries; its own samples are not
+        recorded."""
+        samples: LatencySamples = []
+        served, dropped = station.advance(batch, samples, train_multiplicity)
+        self._dropped_packets += dropped
+        return batch.forwarded(served), mean_latency_s(samples)
 
     # -- the run loop ----------------------------------------------------
     def run(
@@ -370,15 +377,12 @@ class FlowHalSystem(FlowServerSystem):
         self.lbp.advance_to(self.sim.now)
         snic_batch, host_batch = batch.steer(self.director.fwd_threshold_gbps)
         self._advance(
-            self.snic_engine, snic_batch, train_multiplicity,
-            extra_latency_s=HLB_LATENCY_S,
-        )
-        host_tick = self._advance(
-            self.host_engine, host_batch, train_multiplicity,
-            extra_latency_s=HLB_LATENCY_S,
+            self.snic_engine, snic_batch, train_multiplicity, HLB_LATENCY_S
         )
         # every host response re-enters through the merger on its way out
-        self._merged_packets += host_tick.served_packets
+        self._merged_packets += self._advance(
+            self.host_engine, host_batch, train_multiplicity, HLB_LATENCY_S
+        )
 
     def _finalize(self) -> None:
         metrics = self.metrics
@@ -430,13 +434,10 @@ class FlowSlbSystem(FlowServerSystem):
     def _tick(self, batch: FlowBatch, train_multiplicity: int) -> None:
         snic_batch, forward_batch = batch.steer(self.fwd_threshold_gbps)
         self._advance(self.snic_engine, snic_batch, train_multiplicity)
-        forward_tick = self._advance(
-            self.forward_engine, forward_batch, train_multiplicity, record=False
+        forwarded, carry = self._forward(
+            self.forward_engine, forward_batch, train_multiplicity
         )
-        self._advance(
-            self.host_engine, batch.forwarded(forward_tick.served_packets),
-            train_multiplicity, extra_latency_s=forward_tick.mean_latency_s(),
-        )
+        self._advance(self.host_engine, forwarded, train_multiplicity, carry)
 
     def _finalize(self) -> None:
         metrics = self.metrics
@@ -477,11 +478,9 @@ class FlowHostSideSlbSystem(FlowServerSystem):
         )
 
     def _tick(self, batch: FlowBatch, train_multiplicity: int) -> None:
-        forward_tick = self._advance(
-            self.host_fwd_engine, batch, train_multiplicity, record=False
+        forwarded, carry = self._forward(
+            self.host_fwd_engine, batch, train_multiplicity
         )
-        carry = forward_tick.mean_latency_s()
-        forwarded = batch.forwarded(forward_tick.served_packets)
         snic_batch, host_batch = forwarded.steer(self.fwd_threshold_gbps)
         # forwarded-to-SNIC trains pay a second PCIe crossing
         self._advance(

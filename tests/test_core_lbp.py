@@ -176,6 +176,65 @@ class TestStationClocked:
         assert lazy._estimator._last_time == fifth_tick
         assert lazy._estimator._last_bits == engine.delivered_bits
 
+    @staticmethod
+    def _ticks_through(period, start, now):
+        """Tick times a cursor stepping ``t = t + period`` from
+        ``start + period`` evaluates up to ``now``, and the next one."""
+        t = start + period
+        times = []
+        while t <= now:
+            times.append(t)
+            t = t + period
+        return times, t
+
+    def test_one_set_forward_rate_call_per_tick(self):
+        _, (_, _, _, lazy) = self._pair(1.0)
+        calls = []
+        forward = lazy.set_forward_rate
+
+        def counted(snic_tp_gbps):
+            calls.append(lazy._tick_s)
+            forward(snic_tp_gbps)
+
+        lazy.set_forward_rate = counted
+        period = lazy.config.period_s
+        for now in (0.00035, 0.00035, 0.0004, 0.00131, 0.0025):
+            lazy.advance_to(now)
+        ticks, _ = self._ticks_through(period, 0.0, 0.0025)
+        assert calls == ticks  # one call per tick, at the tick's own time
+        assert lazy._tick_s is None
+
+    def test_call_with_no_tick_due_changes_nothing(self):
+        _, (_, _, director, lazy) = self._pair(1.0)
+        lazy.advance_to(0.00073)
+
+        def state():
+            return (
+                # the policy's own fields, minus the spy installed below
+                {k: v for k, v in vars(lazy).items() if k != "set_forward_rate"},
+                list(lazy.threshold_history),
+                dict(vars(lazy._estimator)),
+                director.fwd_threshold_gbps,
+                director._tokens_bits,
+                director._last_refill,
+            )
+
+        before = state()
+        calls = []
+        lazy.set_forward_rate = calls.append
+        for now in (0.00073, lazy.next_tick_s - 1e-12, 0.0):
+            lazy.advance_to(now)
+        assert calls == []
+        assert state() == before
+
+    def test_cursor_bit_equal_to_repeated_period_addition(self):
+        _, (_, _, _, lazy) = self._pair(40.0)
+        period = lazy.config.period_s
+        for now in (1e-4, 0.000999, 0.0137, 0.0137, 0.05, 0.123456):
+            lazy.advance_to(now)
+            _, expected = self._ticks_through(period, 0.0, now)
+            assert lazy.next_tick_s.hex() == expected.hex()
+
 
 class TestProfiledThreshold:
     def test_headroom(self):

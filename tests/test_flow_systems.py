@@ -15,7 +15,7 @@ from repro.flow.cluster import FlowClusterSystem, RackStepper
 from repro.flow.source import ConstantRateSource, TraceRateSource
 from repro.flow.station import FlowStation
 from repro.flow.system import FLOW_SYSTEM_CLASSES, build_flow_system
-from repro.flow.validate import compare_cell
+from repro.flow.validate import DEFAULT_TOLERANCES, compare_cell
 from repro.hw.power import ROLE_HOST, ROLE_SNIC, PowerModel
 from repro.hw.profiles import get_profile
 from repro.serve.state import restore_shard, shard_state
@@ -378,7 +378,7 @@ class TestSharedKindFacts:
 
         interval_s = 100e-6
         for station in (snic, host):
-            station.advance(FlowBatch(0.0, interval_s, 30.0, 1500))
+            station.advance(FlowBatch(0.0, interval_s, 30.0, 1500), [])
         assert 0.0 < snic.utilization and 0.0 < host.utilization
         assert levels["snic"] == profile.snic.dynamic_power_w * snic.utilization
         assert levels["host"] == (
@@ -386,7 +386,7 @@ class TestSharedKindFacts:
         )
 
         for index in range(1, 10):
-            host.advance(FlowBatch(index * interval_s, interval_s, 0.0, 1500))
+            host.advance(FlowBatch(index * interval_s, interval_s, 0.0, 1500), [])
         assert host.sleeping
         assert levels["host"] == 0.0
 
@@ -404,6 +404,19 @@ class TestModeAgreement:
         flow = run_at_rate("snic", "nat", 80.0, FLOW)
         comparison = compare_cell("snic nat@80", packet, flow)
         assert comparison.passed, "\n".join(comparison.lines())
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="flow mode has no §V-C coherence domain: stateful HAL at low "
+        "rate and batch 1 reads p99 717.5 µs in flow mode vs 505.1 µs in "
+        "packet mode (+42%); ROADMAP item 2",
+    )
+    def test_stateful_hal_low_rate_p99_agrees(self):
+        config = dict(duration_s=0.01, batch=1)
+        packet = run_at_rate("hal", "kvs", 6.0, RunConfig(sim_mode="packet", **config))
+        flow = run_at_rate("hal", "kvs", 6.0, RunConfig(sim_mode="flow", **config))
+        error = abs(flow.p99_latency_us - packet.p99_latency_us)
+        assert error <= DEFAULT_TOLERANCES["p99_latency_us"] * packet.p99_latency_us
 
     def test_modes_share_offered_load(self):
         packet = run_trace("hal", "nat", "web", PACKET)
