@@ -19,6 +19,8 @@ def run_variant(label: str, config: LbpConfig) -> None:
     samples = []
 
     def sample() -> None:
+        # Algorithm 1 is evaluated on demand: catch it up before reading
+        system.lbp.advance_to(system.sim.now)
         samples.append(
             (system.sim.now, system.hlb.director.fwd_threshold_gbps,
              system.hlb.rate_rx_gbps)

@@ -9,9 +9,11 @@ Data path (Fig. 6):
 
 Control path: LBP (Algorithm 1) runs every period on an SNIC core,
 estimating SNIC throughput and Rx occupancy and writing ``Fwd_Th`` into
-the director. Host cores use the DPDK power-management API: they sleep
-whenever HAL sends them nothing, so at low packet rates the system runs
-at SNIC-only power while retaining the host's capacity for bursts.
+the director; its ticks are evaluated on demand, before each arrival
+and each SNIC-engine event that changes those inputs. Host cores use
+the DPDK power-management API: they sleep whenever HAL sends them
+nothing, so at low packet rates the system runs at SNIC-only power
+while retaining the host's capacity for bursts.
 
 Stateful functions attach a :class:`~repro.nf.state.SharedStateDomain`:
 coherent (CXL/UPI-class) by default, or the expensive non-coherent PCIe
@@ -119,12 +121,19 @@ class HalSystem(ServerSystem):
         self.eswitch.add_rule(self.plan.snic, "snic")
         self.eswitch.add_rule(self.plan.host, "host")
 
+        # on demand, like flow mode: the policy catches up before each
+        # change to what Algorithm 1 reads (see ingress) instead of the
+        # heap carrying one event per tick
         self.lbp = LoadBalancingPolicy(
             self.sim, self.snic_engine, self.hlb.director, self.lbp_config
         )
+        self.snic_engine.on_input_change = self.lbp.advance_to
         self.add_stopper(self.lbp.stop)
 
     def ingress(self, packet: Packet) -> None:
+        # the director refill and the SNIC ring push come after every
+        # tick due by now, as after a PRIORITY_CONTROL recurrence
+        self.lbp.advance_to(self.sim._now)
         directed = self.hlb.ingress(packet)
         self.eswitch.forward(directed)
 

@@ -364,13 +364,11 @@ class FlowHalSystem(FlowServerSystem):
         # advances, so _tick catches the policy up instead of the heap
         # carrying one event per tick
         self.lbp = LoadBalancingPolicy(
-            self.sim, self.snic_engine, self.director, config=self.lbp_config,
-            recurring=False,
+            self.sim, self.snic_engine, self.director, config=self.lbp_config
         )
         self._merged_packets = 0.0
 
     def stop(self) -> None:
-        self.lbp.advance_to(self.sim.now)
         self.lbp.stop()
 
     def _tick(self, batch: FlowBatch, train_multiplicity: int) -> None:

@@ -91,6 +91,12 @@ class ProcessingEngine:
         self.delivery_latency_s = delivery_latency_s
         self.on_complete = on_complete
         self.on_power_change = on_power_change
+        #: called with the current time before an event of this engine
+        #: changes ``delivered_bits`` or ring/pipeline occupancy on its
+        #: own (a completion, a pipelined delivery, a wake): the hook a
+        #: reader of those inputs uses to evaluate what it owes first.
+        #: Arrivals are the caller's to cover.  None costs one branch.
+        self.on_input_change: Optional[Callable[[float], None]] = None
         self.metrics = metrics
         #: a forward stage passes the *original* packet downstream and does
         #: not record end-to-end latency (an SLB forwarding hop, not an NF)
@@ -244,6 +250,9 @@ class ProcessingEngine:
         self.wake_count += 1
 
         def wake() -> None:
+            on_input_change = self.on_input_change
+            if on_input_change is not None:
+                on_input_change(self.sim._now)
             self.sleeping = False
             self._waking = False
             self._notify_power()
@@ -303,12 +312,15 @@ class ProcessingEngine:
         return self._overload_ramp_s * min(1.0, frac) ** 2
 
     def _finish_service(self, core: int, packet: Packet) -> None:
+        now = self.sim._now
+        on_input_change = self.on_input_change
+        if on_input_change is not None:
+            on_input_change(now)
         multiplicity = packet.multiplicity
         wire_bits = packet.size_bytes * 8 * multiplicity
         self.delivered_packets += multiplicity
         self.delivered_bits += wire_bits
         # delivered-rate EWMA (the overload-latency model's input)
-        now = self.sim._now
         dt = now - self._rate_last_t
         if dt > 0:
             self._rate_bps_ewma *= math.exp(-dt / self._rate_tau_s)
@@ -350,6 +362,10 @@ class ProcessingEngine:
     def _deliver(self, core: int, packet: Packet, pipelined: bool) -> None:
         multiplicity = packet.multiplicity
         if pipelined:
+            # its own event: _finish_service already caught up otherwise
+            on_input_change = self.on_input_change
+            if on_input_change is not None:
+                on_input_change(self.sim._now)
             self._in_pipeline[core] -= multiplicity
         packet.processed_by = self.name
         # midpoint correction: a batched event of B wire packets is served

@@ -189,9 +189,8 @@ class TestOnDemandMonitor:
         from repro.core.hal import HalSystem
 
         system = HalSystem("nat")
-        # the LBP tick is the only armed event
-        assert system.sim.pending() == 1
-        assert system.sim._heap[0] is system.lbp._stop._event
+        # Algorithm 1 is evaluated on demand too: nothing is armed at all
+        assert system.sim.pending() == 0
 
 
 class TestTrafficDirector:
