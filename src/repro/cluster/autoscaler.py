@@ -138,9 +138,6 @@ class RackAutoscaler:
         """Servers drawing full power (everything but ASLEEP)."""
         return sum(1 for s in self.servers if s.state != STATE_ASLEEP)
 
-    def routable_count(self) -> int:
-        return sum(1 for s in self.servers if s.slot.routable)
-
     def awake_mean(self) -> float:
         """Time-averaged count of non-sleeping servers."""
         now = self.sim.now

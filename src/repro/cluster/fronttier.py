@@ -113,9 +113,3 @@ class FrontTierPort:
         if elapsed_s <= 0:
             return 0.0
         return self.dispatched_bits / elapsed_s / 1e9
-
-    def per_server_share(self) -> List[float]:
-        total = self.dispatched_bits
-        if total <= 0:
-            return [0.0] * len(self.slots)
-        return [slot.dispatched_bits / total for slot in self.slots]

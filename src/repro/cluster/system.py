@@ -15,23 +15,27 @@ simulator:
 * engine names are prefixed ``s<i>:`` so the per-engine crc32 jitter
   streams decorrelate across servers.
 
-:func:`run_rack` is the executor entry point: it scales the selected
-Meta trace to rack size (N servers see N× the average offered load,
-clipped at N× line rate) and runs the diurnal workload against the rack.
+The member, slot, rack-power and autoscaler wiring lives in
+:class:`Rack`, which the flow-mode rack
+(:class:`repro.flow.cluster.FlowClusterSystem`) shares.
+
+:func:`run_rack` is the executor entry point in both simulation modes:
+it scales the selected Meta trace to rack size (N servers see N× the
+average offered load, clipped at N× line rate) and runs the diurnal
+workload against the rack.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.cluster.autoscaler import AutoscalerConfig, ManagedServer, RackAutoscaler
 from repro.cluster.fronttier import TOR_LATENCY_S, FrontTierPort
 from repro.cluster.policies import make_policy, member_slots
 from repro.cluster.power import RackPowerConfig, RackPowerModel
 from repro.core import SYSTEM_CLASSES
-from repro.core.systems import DRAIN_S, ServerSystem, snic_share
-from repro.hw.power import PowerConfig
+from repro.core.systems import DRAIN_S, sample_window, snic_share
 from repro.net.addressing import RackAddressPlan
 from repro.net.traffic import (
     LINE_RATE_GBPS,
@@ -61,10 +65,24 @@ def _member_kinds(
     return [kinds[i % len(kinds)] for i in range(servers)]
 
 
-class ClusterSystem:
-    """A rack of member server systems behind a front-tier balancer."""
+class Rack:
+    """The rack wiring both simulation modes share.
 
-    kind = "cluster"
+    N members from the mode's kind → class table :attr:`member_classes`
+    in one simulator, one :class:`~repro.cluster.policies.ServerSlot`
+    each, the front tier a subclass builds in :meth:`_front_tier`, the
+    :class:`~repro.cluster.power.RackPowerModel` over the members' power
+    models, and, with ``autoscale``, the
+    :class:`~repro.cluster.autoscaler.RackAutoscaler`.  Each mode keeps
+    only its front tier and its run drive.  ``member_kwargs``
+    (``functional_rate``, ``power_config``, ...) go to every member.
+    """
+
+    #: the mode's system kind → member class table
+    member_classes: Mapping[str, Any]
+    #: the rack run's tracer (a traced packet-mode rack sets it before
+    #: the members build, so the rack run groups ahead of theirs)
+    tracer: Any = None
 
     def __init__(
         self,
@@ -74,17 +92,16 @@ class ClusterSystem:
         seed: int = 2024,
         policy: str = "packing",
         autoscale: bool = True,
-        functional_rate: float = 0.0,
-        power_config: Optional[PowerConfig] = None,
         rack_power_config: Optional[RackPowerConfig] = None,
         autoscaler_config: Optional[AutoscalerConfig] = None,
         tor_latency_s: float = TOR_LATENCY_S,
+        **member_kwargs: Any,
     ) -> None:
         if servers < 1:
             raise ValueError("a rack needs at least one server")
         self.member_kind = member_kind
         self.function = function
-        self.policy_name = policy
+        self.policy = policy
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
         self.metrics = RunMetrics()
@@ -92,51 +109,28 @@ class ClusterSystem:
         #: the client-facing plan (client + VIP) — what generators target
         self.plan = self.rack_plan.front
 
-        # rack-level observability first, so the cluster run groups ahead
-        # of its members' per-server runs in the trace
-        self._obs_session = current_session()
-        self.tracer = (
-            self._obs_session.new_run(f"cluster[{servers}]/{member_kind}/{function}")
-            if self._obs_session.enabled
-            else None
-        )
-
-        kinds = _member_kinds(member_kind, servers, SYSTEM_CLASSES)
-        self.members: List[ServerSystem] = []
-        for index, kind in enumerate(kinds):
+        table = self.member_classes
+        self.members: List[Any] = []
+        for index, kind in enumerate(_member_kinds(member_kind, servers, table)):
             instance = f"s{index}"
-            member = SYSTEM_CLASSES[kind](
-                function,
-                functional_rate=functional_rate,
-                power_config=power_config,
-                sim=self.sim,
-                plan=self.rack_plan.servers[index],
-                rng=self.rng.spawn(instance),
-                metrics=self.metrics,
-                instance=instance,
+            self.members.append(
+                table[kind](
+                    function,
+                    sim=self.sim,
+                    plan=self.rack_plan.servers[index],
+                    rng=self.rng.spawn(instance),
+                    metrics=self.metrics,
+                    instance=instance,
+                    **member_kwargs,
+                )
             )
-            self.members.append(member)
         if self.tracer is not None:
             # members each wired the shared kernel to their own tracer as
             # they built; the rack run owns kernel-level events
             self.sim.set_tracer(self.tracer)
 
         self.slots = member_slots(self.rack_plan.servers, self.members)
-
-        self.front = FrontTierPort(
-            self.sim,
-            self.rack_plan,
-            make_policy(policy, self.rng),
-            self.slots,
-            [member.ingress for member in self.members],
-            tor_latency_s=tor_latency_s,
-        )
-        self.front.tracer = self.tracer
-        for slot, member in zip(self.slots, self.members):
-            member._egress_hook = (
-                lambda packet, slot=slot: self.front.egress(slot, packet)
-            )
-
+        self.front = self._front_tier(policy, tor_latency_s)
         self.rack_power = RackPowerModel(
             self.sim, [member.power for member in self.members], rack_power_config
         )
@@ -153,7 +147,63 @@ class ClusterSystem:
                 autoscaler_config,
                 tracer=self.tracer,
             )
+
+    def _front_tier(self, policy: str, tor_latency_s: float) -> Any:
+        """The mode's front tier over :attr:`slots`."""
+        raise NotImplementedError
+
+    def _rack_extras(self, extras: Dict[str, float], duration_s: float) -> None:
+        """The rack's extras, one rule in both modes.  An autoscaled rack
+        froze ``rack_awake_mean`` at the end of the offered period; any
+        other rack reports every server awake."""
+        servers = float(len(self.members))
+        extras["servers"] = servers
+        extras.setdefault("rack_awake_mean", servers)
+        extras["front_reroutes"] = float(self.front.reroutes)
+        extras["front_dispatched_gbps"] = self.front.dispatched_gbps(duration_s)
+        if self.autoscaler is not None:
+            extras["rack_wakes"] = float(self.autoscaler.wakes)
+            extras["rack_sleeps"] = float(self.autoscaler.sleeps)
+
+
+class ClusterSystem(Rack):
+    """A rack of member server systems behind a front-tier balancer."""
+
+    kind = "cluster"
+    member_classes = SYSTEM_CLASSES
+
+    def __init__(
+        self,
+        member_kind: str = "hal",
+        function: str = "nat",
+        servers: int = 4,
+        **kwargs: Any,
+    ) -> None:
+        # rack-level observability first, so the cluster run groups ahead
+        # of its members' per-server runs in the trace
+        self._obs_session = current_session()
+        if self._obs_session.enabled:
+            self.tracer = self._obs_session.new_run(
+                f"cluster[{servers}]/{member_kind}/{function}"
+            )
+        super().__init__(member_kind, function, servers, **kwargs)
         self._stoppers: List = []
+
+    def _front_tier(self, policy: str, tor_latency_s: float) -> FrontTierPort:
+        front = FrontTierPort(
+            self.sim,
+            self.rack_plan,
+            make_policy(policy, self.rng),
+            self.slots,
+            [member.ingress for member in self.members],
+            tor_latency_s=tor_latency_s,
+        )
+        front.tracer = self.tracer
+        for slot, member in zip(self.slots, self.members):
+            member._egress_hook = (
+                lambda packet, slot=slot: front.egress(slot, packet)
+            )
+        return front
 
     # -- plumbing ---------------------------------------------------------
     def __len__(self) -> int:
@@ -190,18 +240,8 @@ class ClusterSystem:
             self._start_probe_pump(generator, duration_s)
         generator.start(self.sim, self.ingress, duration_s)
 
-        window_s = 0.025
-        last_bytes = [0]
-        max_window = [0.0]
-
-        def sample_window() -> None:
-            delivered = self.metrics.delivered_bytes
-            gbps = (delivered - last_bytes[0]) * 8 / window_s / 1e9
-            last_bytes[0] = delivered
-            if gbps > max_window[0]:
-                max_window[0] = gbps
-
-        self.add_stopper(self.sim.every(window_s, sample_window))
+        stop_window, max_window = sample_window(self.sim, self.metrics)
+        self.add_stopper(stop_window)
 
         self.sim.run(until=start + duration_s)
         backlog = (
@@ -210,12 +250,10 @@ class ClusterSystem:
             - self.metrics.dropped_packets
         )
         self.metrics.extras["final_backlog_packets"] = float(max(0, backlog))
-        # freeze the awake integral before periodic control stops: the
-        # drain window would otherwise dilute the diurnal duty cycle
-        awake_mean = (
-            self.autoscaler.awake_mean() if self.autoscaler is not None else
-            float(len(self.members))
-        )
+        if self.autoscaler is not None:
+            # freeze the awake integral before periodic control stops: the
+            # drain window would otherwise dilute the diurnal duty cycle
+            self.metrics.extras["rack_awake_mean"] = self.autoscaler.awake_mean()
         self.stop_periodic()
         self.sim.run(until=start + duration_s + DRAIN_S)
         for member in self.members:
@@ -229,17 +267,9 @@ class ClusterSystem:
         metrics.power_breakdown = self.rack_power.breakdown()
         metrics.snic_share = snic_share(self.members)
         metrics.extras["max_window_gbps"] = max(
-            max_window[0], metrics.throughput_gbps
+            max_window(), metrics.throughput_gbps
         )
-        metrics.extras["servers"] = float(len(self.members))
-        metrics.extras["rack_awake_mean"] = awake_mean
-        metrics.extras["front_reroutes"] = float(self.front.reroutes)
-        metrics.extras["front_dispatched_gbps"] = self.front.dispatched_gbps(
-            duration_s
-        )
-        if self.autoscaler is not None:
-            metrics.extras["rack_wakes"] = float(self.autoscaler.wakes)
-            metrics.extras["rack_sleeps"] = float(self.autoscaler.sleeps)
+        self._rack_extras(metrics.extras, duration_s)
         if self.tracer is not None:
             # lint: disable=DET01 flight-record wall time only
             wall_s = perf_counter() - wall_started
@@ -308,7 +338,7 @@ class ClusterSystem:
             kind=self.kind,
             member_kind=self.member_kind,
             servers=len(self.members),
-            policy=self.policy_name,
+            policy=self.policy,
             function=self.function,
             offered_gbps=generator.offered_gbps,
             duration_s=metrics.duration_s,
@@ -354,33 +384,17 @@ def run_rack(
     autoscale: bool = True,
     **kwargs,
 ) -> RunMetrics:
-    """One rack-scale trace run (the Fig. 10-style workhorse).
+    """One rack-scale trace run (the Fig. 10-style workhorse), in the
+    simulation mode ``config.sim_mode`` names.
 
     ``config`` is a :class:`repro.exp.server.RunConfig` (imported lazily
     to keep the cluster layer importable without the experiment harness).
     """
     if config is None:
         from repro.exp.server import DEFAULT_CONFIG as config  # noqa: F811
-    if getattr(config, "sim_mode", "packet") == "flow":
-        # the fluid fast path reuses this module's scaled_trace and the
-        # real autoscaler/rack-power controllers; imported lazily to keep
-        # the packet-mode cluster importable without the flow layer
-        from repro.flow.cluster import run_rack_flow
-
-        return run_rack_flow(
-            member_kind,
-            function,
-            trace,
-            config,
-            servers=servers,
-            policy=policy,
-            autoscale=autoscale,
-            **kwargs,
-        )
     spec = scaled_trace(trace, servers)
-    cluster = ClusterSystem(
-        member_kind,
-        function,
+    traffic = config.spec(spec.average_gbps * 3)
+    common = dict(
         servers=servers,
         seed=config.seed,
         policy=policy,
@@ -388,9 +402,31 @@ def run_rack(
         functional_rate=config.functional_rate,
         **kwargs,
     )
+    if config.sim_mode == "flow":
+        # imported lazily: the flow rack builds on this module
+        from repro.flow.cluster import FlowClusterSystem
+        from repro.flow.source import TraceRateSource
+
+        flow = FlowClusterSystem(
+            member_kind,
+            function,
+            interval_s=config.flow_interval_s,
+            packet_bytes=config.packet_bytes,
+            **common,
+        )
+        source = TraceRateSource(
+            spec,
+            flow.rng,
+            flow.plan,
+            traffic,
+            trace_interval_s=config.trace_interval_s,
+            line_rate_gbps=LINE_RATE_GBPS * servers,
+        )
+        return flow.run(source, config.duration_s, train_multiplicity=traffic.batch)
+    cluster = ClusterSystem(member_kind, function, **common)
     generator = LogNormalTraceGenerator(
         cluster.plan,
-        config.spec(spec.average_gbps * 3),
+        traffic,
         cluster.rng,
         spec,
         interval_s=config.trace_interval_s,

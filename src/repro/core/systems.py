@@ -10,7 +10,7 @@ arriving from the client) and :meth:`_build` (which engines exist).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.hw.platform import ProcessingEngine
 from repro.hw.power import ROLE_SNIC, PowerConfig, PowerModel
@@ -29,6 +29,30 @@ from repro.sim.rng import RngRegistry
 
 #: simulated drain time after the generator stops, letting queues empty
 DRAIN_S = 0.02
+
+#: throughput window behind the ``max_window_gbps`` extra (Table V's
+#: "Max" column), in both simulation modes
+WINDOW_S = 0.025
+
+
+def sample_window(
+    sim: Simulator, metrics: RunMetrics
+) -> Tuple[Callable[[], None], Callable[[], float]]:
+    """Sample ``metrics``' delivered throughput every :data:`WINDOW_S`;
+    returns the recurrence's stopper and a reader of the highest window
+    so far."""
+    last_bytes = 0
+    max_gbps = 0.0
+
+    def sample() -> None:
+        nonlocal last_bytes, max_gbps
+        delivered = metrics.delivered_bytes
+        gbps = (delivered - last_bytes) * 8 / WINDOW_S / 1e9
+        last_bytes = delivered
+        if gbps > max_gbps:
+            max_gbps = gbps
+
+    return sim.every(WINDOW_S, sample), lambda: max_gbps
 
 
 def snic_share(systems: Iterable[Any]) -> float:
@@ -204,18 +228,8 @@ class ServerSystem:
         generator.start(self.sim, self.ingress, duration_s)
 
         # windowed throughput sampling → Table V's "Max" throughput column
-        window_s = 0.025
-        last_bytes = [0]
-        max_window = [0.0]
-
-        def sample_window() -> None:
-            delivered = self.metrics.delivered_bytes
-            gbps = (delivered - last_bytes[0]) * 8 / window_s / 1e9
-            last_bytes[0] = delivered
-            if gbps > max_window[0]:
-                max_window[0] = gbps
-
-        self.add_stopper(self.sim.every(window_s, sample_window))
+        stop_window, max_window = sample_window(self.sim, self.metrics)
+        self.add_stopper(stop_window)
 
         self.sim.run(until=start + duration_s)
         # backlog still queued when the generator stops: the overload
@@ -234,7 +248,7 @@ class ServerSystem:
         self.metrics.average_power_w = self.power.average_watts()
         self.metrics.power_breakdown = self.power.breakdown()
         self.metrics.extras["max_window_gbps"] = max(
-            max_window[0], self.metrics.throughput_gbps
+            max_window(), self.metrics.throughput_gbps
         )
         self._finalize()
         if self.tracer is not None:

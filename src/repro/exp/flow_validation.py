@@ -29,7 +29,7 @@ import pathlib
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from repro.exp.server import RunConfig
+from repro.exp.server import RunConfig, build_system
 from repro.flow.validate import (
     DEFAULT_TOLERANCES,
     ValidationReport,
@@ -206,9 +206,7 @@ def check_event_headroom(report: ValidationReport) -> bool:
     load, wire packets per event in flow mode over the same ratio in
     packet mode is the packet run's event count over the flow run's.
     """
-    from repro.exp.server import build_system
     from repro.flow.source import ConstantRateSource
-    from repro.flow.system import build_flow_system
     from repro.net.traffic import ConstantRateGenerator
 
     rate_gbps, duration_s = 80.0, 0.05
@@ -222,7 +220,7 @@ def check_event_headroom(report: ValidationReport) -> bool:
         duration_s,
     )
     flow_config = replace(config, sim_mode="flow")
-    flow_system = build_flow_system("slb", "nat", flow_config, **kwargs)
+    flow_system = build_system("slb", "nat", flow_config, **kwargs)
     flow_system.run(
         ConstantRateSource(rate_gbps),
         duration_s,

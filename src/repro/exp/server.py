@@ -9,9 +9,15 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Union
 
 from repro.core import PLATFORMS, SYSTEM_CLASSES, PlatformSystem, ServerSystem
+from repro.flow.source import ConstantRateSource, TraceRateSource
+from repro.flow.system import (
+    FLOW_SYSTEM_CLASSES,
+    FlowPlatformSystem,
+    FlowServerSystem,
+)
 from repro.net.traffic import (
     META_TRACES,
     ConstantRateGenerator,
@@ -77,18 +83,26 @@ def build_system(
     function: str,
     config: RunConfig = DEFAULT_CONFIG,
     **kwargs,
-) -> ServerSystem:
-    """Instantiate one of the evaluated server configurations."""
+) -> Union[ServerSystem, FlowServerSystem]:
+    """Instantiate one of the evaluated server configurations in the
+    simulation mode ``config.sim_mode`` names."""
     common = dict(
         seed=config.seed, functional_rate=config.functional_rate, **kwargs
     )
-    if kind in PLATFORMS:
-        return PlatformSystem(function, platform=kind, **common)
-    if kind not in SYSTEM_CLASSES:
-        raise ValueError(
-            f"unknown system kind {kind!r}; known: {(*SYSTEM_CLASSES, *PLATFORMS)}"
+    if config.sim_mode == "flow":
+        table, platform_class = FLOW_SYSTEM_CLASSES, FlowPlatformSystem
+        common.update(
+            interval_s=config.flow_interval_s, packet_bytes=config.packet_bytes
         )
-    return SYSTEM_CLASSES[kind](function, **common)
+    else:
+        table, platform_class = SYSTEM_CLASSES, PlatformSystem
+    if kind in PLATFORMS:
+        return platform_class(function, platform=kind, **common)
+    if kind not in table:
+        raise ValueError(
+            f"unknown system kind {kind!r}; known: {(*table, *PLATFORMS)}"
+        )
+    return table[kind](function, **common)
 
 
 def run_at_rate(
@@ -99,15 +113,12 @@ def run_at_rate(
     **kwargs,
 ) -> RunMetrics:
     """One constant-rate run (the Fig. 2/4/5/9 workhorse)."""
-    if config.sim_mode == "flow":
-        # imported lazily: the flow layer builds on core/hw/cluster
-        from repro.flow.system import run_at_rate_flow
-
-        return run_at_rate_flow(kind, function, rate_gbps, config, **kwargs)
     system = build_system(kind, function, config, **kwargs)
-    generator = ConstantRateGenerator(
-        system.plan, config.spec(rate_gbps), system.rng, rate_gbps
-    )
+    spec = config.spec(rate_gbps)
+    if config.sim_mode == "flow":
+        source = ConstantRateSource(rate_gbps)
+        return system.run(source, config.duration_s, train_multiplicity=spec.batch)
+    generator = ConstantRateGenerator(system.plan, spec, system.rng, rate_gbps)
     return system.run(generator, config.duration_s)
 
 
@@ -118,17 +129,25 @@ def run_trace(
     config: RunConfig = DEFAULT_CONFIG,
     **kwargs,
 ) -> RunMetrics:
-    """One datacenter-trace run (the Table V workhorse)."""
+    """One datacenter-trace run (the Table V workhorse).  Flow mode draws
+    the rate schedule from the same RNG streams as the packet-mode
+    generator for this spec."""
     if trace not in META_TRACES:
         raise ValueError(f"unknown trace {trace!r}; known: {sorted(META_TRACES)}")
-    if config.sim_mode == "flow":
-        from repro.flow.system import run_trace_flow
-
-        return run_trace_flow(kind, function, trace, config, **kwargs)
     system = build_system(kind, function, config, **kwargs)
+    spec = config.spec(META_TRACES[trace].average_gbps * 3)
+    if config.sim_mode == "flow":
+        source = TraceRateSource(
+            trace,
+            system.rng,
+            system.plan,
+            spec,
+            trace_interval_s=config.trace_interval_s,
+        )
+        return system.run(source, config.duration_s, train_multiplicity=spec.batch)
     generator = LogNormalTraceGenerator(
         system.plan,
-        config.spec(META_TRACES[trace].average_gbps * 3),
+        spec,
         system.rng,
         META_TRACES[trace],
         interval_s=config.trace_interval_s,

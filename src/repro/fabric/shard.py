@@ -18,9 +18,10 @@ many siblings it has.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.flow.cluster import FlowClusterSystem, RackSnapshot, RackStepper
+from repro.cluster.autoscaler import STATE_ASLEEP, STATE_DRAINING, STATE_WAKING
+from repro.flow.cluster import FlowClusterSystem
 from repro.obs.fleet import ProbeDeltaTap
 from repro.obs.probes import ProbeRegistry
 
@@ -68,6 +69,42 @@ class RackShardSpec:
         return max(1, round(self.epoch_s / self.flow_interval_s))
 
 
+def weighted_quantile(samples: List[Tuple[float, float]], q: float) -> float:
+    """Quantile of ``(value, weight)`` samples; 0 for an empty window."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    total = sum(weight for _, weight in ordered)
+    if total <= 0:
+        return ordered[-1][0]
+    target = q * total
+    accumulated = 0.0
+    for value, weight in ordered:
+        accumulated += weight
+        if accumulated >= target:
+            return value
+    return ordered[-1][0]
+
+
+@dataclass(frozen=True)
+class RackSnapshot:
+    """Boundary state one rack exports at an epoch barrier.
+
+    Counters are cumulative since construction; the fabric control plane
+    differences consecutive snapshots to get per-epoch rates.
+    """
+
+    now_s: float
+    dispatched_bits: float
+    delivered_bits: float
+    delivered_packets: float
+    dropped_packets: float
+    backlog_packets: float
+    rxq_occupancy: int
+    awake: float
+    energy_j: float
+
+
 class RackShard:
     """Steppable rack: one epoch in, one boundary summary out."""
 
@@ -83,18 +120,72 @@ class RackShard:
             interval_s=spec.flow_interval_s,
             packet_bytes=spec.packet_bytes,
         )
-        self.stepper = RackStepper(
-            self.cluster,
-            offered_intervals=spec.epochs * spec.intervals_per_epoch,
-            train_multiplicity=spec.train_multiplicity,
+        self.stepper = self.cluster.start(
+            spec.epochs * spec.intervals_per_epoch, spec.train_multiplicity
         )
         self.epoch = 0
-        self._previous: RackSnapshot = self.stepper.snapshot()
+        #: per-member sample-list lengths already read by telemetry
+        self._sample_marks: List[int] = [0] * spec.servers
+        self._previous = self.snapshot()
         self.probes: Optional[ProbeRegistry] = None
         self._tap: Optional[ProbeDeltaTap] = None
         if spec.telemetry:
             self.probes = ProbeRegistry()
             self._tap = ProbeDeltaTap(self.probes)
+
+    def snapshot(self) -> RackSnapshot:
+        """Cumulative boundary counters at the current simulator time."""
+        cluster = self.cluster
+        stepper = self.stepper
+        awake = float(len(cluster.members))
+        if cluster.autoscaler is not None:
+            awake = float(cluster.autoscaler.active_count())
+        now_s = cluster.sim.now
+        return RackSnapshot(
+            now_s=now_s,
+            dispatched_bits=cluster.front.dispatched_bits,
+            delivered_bits=stepper.delivered_bits(),
+            delivered_packets=stepper.delivered_packets(),
+            dropped_packets=stepper.dropped_packets(),
+            backlog_packets=stepper.backlog_packets(),
+            rxq_occupancy=max(slot.occupancy() for slot in cluster.slots),
+            awake=awake,
+            energy_j=cluster.rack_power.average_watts() * now_s,
+        )
+
+    def telemetry_sample(self) -> Dict[str, float]:
+        """Read-only per-epoch telemetry beyond the boundary snapshot:
+        the weighted p99 latency (µs, ToR hop included) over samples
+        that arrived since the previous call, and the autoscaler's state
+        census.  Pure observation — reads the same member sample lists
+        ``finish`` consumes without mutating any simulation state, so
+        sampling cannot perturb the payload."""
+        cluster = self.cluster
+        tor_s = cluster.front.tor_latency_s
+        window: List[Tuple[float, float]] = []
+        for position, member in enumerate(cluster.members):
+            samples = member._samples
+            mark = self._sample_marks[position]
+            window.extend(
+                (latency + tor_s, weight) for latency, weight in samples[mark:]
+            )
+            self._sample_marks[position] = len(samples)
+        out: Dict[str, float] = {
+            "p99_us": weighted_quantile(window, 0.99) * 1e6,
+            "sampled_weight": sum(weight for _, weight in window),
+            "draining": 0.0,
+            "asleep": 0.0,
+            "waking": 0.0,
+        }
+        if cluster.autoscaler is not None:
+            for server in cluster.autoscaler.servers:
+                if server.state == STATE_DRAINING:
+                    out["draining"] += 1.0
+                elif server.state == STATE_ASLEEP:
+                    out["asleep"] += 1.0
+                elif server.state == STATE_WAKING:
+                    out["waking"] += 1.0
+        return out
 
     def describe(self) -> Dict[str, float]:
         """Static facts the fleet balancer needs before the first epoch."""
@@ -117,7 +208,7 @@ class RackShard:
         self.stepper.push_rates([rate_gbps] * spec.intervals_per_epoch)
         self.epoch += 1
         self.stepper.advance_to(self.epoch * spec.epoch_s)
-        snapshot = self.stepper.snapshot()
+        snapshot = self.snapshot()
         previous = self._previous
         self._previous = snapshot
         epoch_s = spec.epoch_s
@@ -151,7 +242,7 @@ class RackShard:
             probes.counter("rack/dropped_packets").inc(
                 snapshot.dropped_packets - previous.dropped_packets
             )
-            sample = self.stepper.telemetry_sample()
+            sample = self.telemetry_sample()
             probes.gauge("rack/power_w").set(summary["power_w"])
             probes.gauge("rack/rxq_occupancy").set(float(snapshot.rxq_occupancy))
             probes.gauge("rack/awake").set(snapshot.awake)
@@ -166,9 +257,8 @@ class RackShard:
     def finish(self, offered_gbps: Any = 0.0) -> Dict[str, Any]:
         """Drain and return the rack's final RunMetrics payload."""
         offered = float(offered_gbps) if offered_gbps is not None else 0.0
-        stepper = self.stepper
-        duration_s = stepper.offered_intervals * self.spec.flow_interval_s
-        return stepper.finish(offered, duration_s).to_dict()
+        duration_s = self.stepper.offered_intervals * self.spec.flow_interval_s
+        return self.cluster.finish(self.stepper, offered, duration_s).to_dict()
 
 
 def build_rack_shard(spec: RackShardSpec) -> RackShard:

@@ -10,15 +10,10 @@ declared agreement tolerances checked by ``repro validate-flow``.
 """
 
 from repro.flow.batch import FlowBatch, batch_train
-from repro.flow.cluster import FlowClusterSystem, run_rack_flow
+from repro.flow.cluster import FlowClusterSystem
 from repro.flow.source import ConstantRateSource, TraceRateSource
 from repro.flow.station import FlowStation
-from repro.flow.system import (
-    FlowServerSystem,
-    build_flow_system,
-    run_at_rate_flow,
-    run_trace_flow,
-)
+from repro.flow.system import FlowServerSystem
 from repro.flow.validate import (
     DEFAULT_TOLERANCES,
     CellComparison,
@@ -32,14 +27,10 @@ __all__ = [
     "FlowBatch",
     "batch_train",
     "FlowClusterSystem",
-    "run_rack_flow",
     "ConstantRateSource",
     "TraceRateSource",
     "FlowStation",
     "FlowServerSystem",
-    "build_flow_system",
-    "run_at_rate_flow",
-    "run_trace_flow",
     "DEFAULT_TOLERANCES",
     "CellComparison",
     "MetricCheck",

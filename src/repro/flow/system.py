@@ -16,12 +16,19 @@ busy fraction once per interval, and each kind's wiring facts (HAL's
 cooperative check and initial ``Fwd_Th``, SLB's NF-core split, the
 host-side SLB forwarding profile, the SNIC share) are the ones
 :mod:`repro.core` declares for packet mode too.
+
+:class:`RackStepper` is the one flow-mode run loop.  A flow rack
+(:class:`repro.flow.cluster.FlowClusterSystem`) drives it through its
+front tier; a single server's :meth:`FlowServerSystem.run` drives it as
+a rack of one, with the offered rate passed straight through.  Both
+modes build single servers through :func:`repro.exp.server.build_system`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, TYPE_CHECKING, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
+from repro.cluster.autoscaler import RackAutoscaler
 from repro.core.hal import hal_initial_threshold
 from repro.core.hlb import HLB_LATENCY_S, TrafficDirector
 from repro.core.lbp import LbpConfig, LoadBalancingPolicy
@@ -32,9 +39,8 @@ from repro.core.slb import (
     slb_nf_cores,
 )
 from repro.core.static import PLATFORMS, SNIC_PLATFORMS
-from repro.core.systems import DRAIN_S, snic_share
+from repro.core.systems import DRAIN_S, WINDOW_S, snic_share
 from repro.flow.batch import FlowBatch
-from repro.flow.source import ConstantRateSource, TraceRateSource
 from repro.flow.station import FlowStation, LatencySamples, mean_latency_s
 from repro.hw.host import host_engine_profile
 from repro.hw.pcie import host_delivery_latency_s, snic_delivery_latency_s
@@ -46,25 +52,22 @@ from repro.sim.engine import Simulator
 from repro.sim.metrics import LatencyReservoir, RunMetrics
 from repro.sim.rng import RngRegistry
 
-if TYPE_CHECKING:
-    from repro.exp.server import RunConfig
-
-#: throughput window used for the ``max_window_gbps`` extra (same 25 ms
-#: window the packet-mode systems sample)
-WINDOW_S = 0.025
+#: ``dispatch(rate_gbps, dt_s, packet_bits)`` → one rate per member
+Dispatch = Callable[[float, float, int], List[float]]
 
 #: cap on reservoir samples expanded from the weighted quantile pairs
 MAX_RESERVOIR_SAMPLES = 20_000
 
 
 class FlowServerSystem:
-    """Base class: the flow-mode run loop and result contract.
+    """Base class: the flow-mode result contract.
 
-    Produces the same :class:`~repro.sim.metrics.RunMetrics` shape as
-    :meth:`repro.core.systems.ServerSystem.run` (offered/delivered/
-    dropped/generated counts, latency reservoir, integrated power,
-    ``max_window_gbps``/``final_backlog_packets`` extras), so experiment
-    code and the result cache treat both modes interchangeably.
+    :meth:`run` produces the same :class:`~repro.sim.metrics.RunMetrics`
+    shape as :meth:`repro.core.systems.ServerSystem.run` (offered/
+    delivered/dropped/generated counts, latency reservoir, integrated
+    power, ``max_window_gbps``/``final_backlog_packets`` extras), so
+    experiment code and the result cache treat both modes
+    interchangeably.
     """
 
     kind = "abstract"
@@ -87,7 +90,6 @@ class FlowServerSystem:
             raise ValueError(f"flow interval must be positive ({interval_s})")
         self.function = function
         self.profile = get_profile(function)
-        self.seed = seed
         self.functional_rate = functional_rate
         self.interval_s = interval_s
         self.packet_bytes = packet_bytes
@@ -100,7 +102,6 @@ class FlowServerSystem:
         self.power = PowerModel(self.sim, power_config)
 
         self._samples: LatencySamples = []
-        self._generated_packets = 0.0
         self._delivered_packets = 0.0
         self._delivered_bits = 0.0
         self._dropped_packets = 0.0
@@ -188,62 +189,180 @@ class FlowServerSystem:
         duration_s: float,
         train_multiplicity: int = 1,
     ) -> RunMetrics:
-        sim = self.sim
-        start = sim.now
-        interval = self.interval_s
-        rates = source.rates(duration_s, interval)
-        drain_end = start + duration_s + DRAIN_S
-        state = {"index": 0}
-        window = {"start": start, "bits": 0.0, "max_gbps": 0.0}
-        final_backlog = {"packets": -1.0}
-
-        def tick() -> None:
-            index = state["index"]
-            state["index"] = index + 1
-            offered = index < len(rates)
-            rate = rates[index] if offered else 0.0
-            batch = FlowBatch(
-                start_s=sim.now - interval,
-                duration_s=interval,
-                rate_gbps=rate,
-                packet_bytes=self.packet_bytes,
-            )
-            if offered:
-                self._generated_packets += batch.packets
-            self._tick(batch, train_multiplicity)
-            if index == len(rates) - 1:
-                final_backlog["packets"] = self.total_backlog_packets()
-            elapsed = sim.now - window["start"]
-            if elapsed >= WINDOW_S:
-                gbps = (self._delivered_bits - window["bits"]) / elapsed / 1e9
-                window["max_gbps"] = max(window["max_gbps"], gbps)
-                window["start"] = sim.now
-                window["bits"] = self._delivered_bits
-
-        stop_tick = sim.every(
-            interval, tick, start=start + interval,
-            priority=Simulator.PRIORITY_NORMAL,
+        """Run the rack loop as a rack of one: no front tier, ToR hop,
+        rack power or autoscaler; the offered rate passes straight
+        through to this server."""
+        rates = source.rates(duration_s, self.interval_s)
+        stepper = RackStepper(
+            self.sim,
+            [self],
+            self.interval_s,
+            self.packet_bytes,
+            _pass_through,
+            len(rates),
+            train_multiplicity,
         )
-        sim.run(until=drain_end)
-        stop_tick()
-        self.stop()
-
-        metrics = self.metrics
-        metrics.offered_gbps = source.offered_gbps
-        metrics.duration_s = duration_s
-        metrics.delivered_bytes = int(round(self._delivered_bits / 8))
-        metrics.delivered_packets = int(round(self._delivered_packets))
-        metrics.dropped_packets = int(round(self._dropped_packets))
-        metrics.generated_packets = int(round(self._generated_packets))
+        stepper.push_rates(rates)
+        metrics = stepper.finish(self.metrics, source.offered_gbps, duration_s)
         metrics.average_power_w = self.power.average_watts()
         metrics.power_breakdown = self.power.breakdown()
         fill_reservoir(metrics.latency, self._samples)
-        metrics.extras["max_window_gbps"] = max(
-            window["max_gbps"], metrics.throughput_gbps
-        )
-        if final_backlog["packets"] >= 0:
-            metrics.extras["final_backlog_packets"] = final_backlog["packets"]
         self._finalize()
+        return metrics
+
+
+def _pass_through(rate_gbps: float, dt_s: float, packet_bits: int) -> List[float]:
+    """A single server's dispatch: the whole offered rate."""
+    return [rate_gbps]
+
+
+class RackStepper:
+    """The one flow-mode run loop: every interval, dispatch the offered
+    rate across ``members`` and advance each one's stations.
+
+    A rack's one-shot :meth:`FlowClusterSystem.run` pushes a whole rate
+    schedule and finishes, and so does a single flow server, as a rack
+    of one.  The fabric layer instead advances a rack *one epoch at a
+    time* — push the rates the global dispatcher assigned, advance the
+    simulator to the barrier, read the boundary snapshot, repeat — so a
+    parent process can drive it.
+
+    Rates not yet pushed read as 0.0 (idle), so a tick that drifts past a
+    barrier by float accumulation is harmless — it sees the same rate at
+    every worker count.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        members: Sequence[FlowServerSystem],
+        interval_s: float,
+        packet_bytes: int,
+        dispatch: Dispatch,
+        offered_intervals: int,
+        train_multiplicity: int = 1,
+        autoscaler: Optional[RackAutoscaler] = None,
+    ) -> None:
+        if offered_intervals < 1:
+            raise ValueError("offered_intervals must be >= 1")
+        self.sim = sim
+        self.members = members
+        self.interval_s = interval_s
+        self.packet_bytes = packet_bytes
+        self.dispatch = dispatch
+        self.offered_intervals = offered_intervals
+        self.train_multiplicity = train_multiplicity
+        self.autoscaler = autoscaler
+        self._start_s = sim.now
+        self._rates: List[float] = []
+        self._index = 0
+        self._generated_packets = 0.0
+        self._window_start_s = self._start_s
+        self._window_bits = 0.0
+        self._max_window_gbps = 0.0
+        #: extras frozen at the last offered interval
+        self._frozen: Dict[str, float] = {}
+        self._finished = False
+        self._stop_tick = sim.every(
+            interval_s,
+            self._tick,
+            start=self._start_s + interval_s,
+            priority=Simulator.PRIORITY_NORMAL,
+        )
+
+    # -- member totals ----------------------------------------------------
+
+    def delivered_bits(self) -> float:
+        return sum(member._delivered_bits for member in self.members)
+
+    def delivered_packets(self) -> float:
+        return sum(member._delivered_packets for member in self.members)
+
+    def dropped_packets(self) -> float:
+        return sum(member._dropped_packets for member in self.members)
+
+    def backlog_packets(self) -> float:
+        return sum(member.total_backlog_packets() for member in self.members)
+
+    # -- data-plane tick ------------------------------------------------
+
+    def _tick(self) -> None:
+        sim = self.sim
+        interval = self.interval_s
+        packet_bytes = self.packet_bytes
+        packet_bits = packet_bytes * 8
+        index = self._index
+        self._index = index + 1
+        offered = index < self.offered_intervals
+        rate = self._rates[index] if index < len(self._rates) else 0.0
+        if offered:
+            self._generated_packets += rate * 1e9 * interval / packet_bits
+        shares = self.dispatch(rate, interval, packet_bits)
+        start_s = sim.now - interval
+        multiplicity = self.train_multiplicity
+        for member, share in zip(self.members, shares):
+            member._tick(
+                FlowBatch(start_s, interval, share, packet_bytes), multiplicity
+            )
+        if index == self.offered_intervals - 1:
+            self._frozen["final_backlog_packets"] = self.backlog_packets()
+            if self.autoscaler is not None:
+                self._frozen["rack_awake_mean"] = self.autoscaler.awake_mean()
+        elapsed_s = sim.now - self._window_start_s
+        if elapsed_s >= WINDOW_S:
+            bits = self.delivered_bits()
+            gbps = (bits - self._window_bits) / elapsed_s / 1e9
+            self._max_window_gbps = max(self._max_window_gbps, gbps)
+            self._window_start_s = sim.now
+            self._window_bits = bits
+
+    # -- drive ------------------------------------------------------------
+
+    def push_rates(self, rates_gbps: List[float]) -> None:
+        """Append the next per-interval offered rates."""
+        for rate_gbps in rates_gbps:
+            if rate_gbps < 0:
+                raise ValueError(f"rate cannot be negative ({rate_gbps})")
+        self._rates.extend(rates_gbps)
+
+    def advance_to(self, when_s: float) -> None:
+        """Run the simulator up to the barrier at ``when_s``."""
+        if self._finished:
+            raise RuntimeError("stepper already finished")
+        self.sim.run(until=when_s)
+
+    def finish(
+        self, metrics: RunMetrics, offered_gbps: float, duration_s: float
+    ) -> RunMetrics:
+        """Drain, stop the members' and autoscaler's control, and fill
+        ``metrics`` with the loop's counters and extras; power, latency
+        and the SNIC share are the driver's.
+
+        ``duration_s`` is the measured (offered) duration; the simulator
+        runs to ``duration_s`` past the start plus the standard drain
+        window.  Callers pass the duration they scheduled, not one rebuilt
+        from the interval count, because the two differ in floating point.
+        """
+        if self._finished:
+            raise RuntimeError("stepper already finished")
+        self._finished = True
+        self.sim.run(until=self._start_s + duration_s + DRAIN_S)
+        self._stop_tick()
+        for member in self.members:
+            member.stop()
+        if self.autoscaler is not None:
+            self.autoscaler.stop()
+
+        metrics.offered_gbps = offered_gbps
+        metrics.duration_s = duration_s
+        metrics.delivered_bytes = int(round(self.delivered_bits() / 8))
+        metrics.delivered_packets = int(round(self.delivered_packets()))
+        metrics.dropped_packets = int(round(self.dropped_packets()))
+        metrics.generated_packets = int(round(self._generated_packets))
+        metrics.extras["max_window_gbps"] = max(
+            self._max_window_gbps, metrics.throughput_gbps
+        )
+        metrics.extras.update(self._frozen)
         return metrics
 
 
@@ -494,8 +613,6 @@ class FlowHostSideSlbSystem(FlowServerSystem):
         self.metrics.snic_share = snic_share([self])
 
 
-# -- construction + run helpers ------------------------------------------
-
 #: system kind → flow-mode class, the counterpart of
 #: :data:`repro.core.SYSTEM_CLASSES` (platform kinds build a
 #: :class:`FlowPlatformSystem` instead)
@@ -506,66 +623,3 @@ FLOW_SYSTEM_CLASSES: Dict[str, Type[FlowServerSystem]] = {
     "slb": FlowSlbSystem,
     "host-slb": FlowHostSideSlbSystem,
 }
-
-
-def build_flow_system(
-    kind: str,
-    function: str,
-    config: "RunConfig",
-    **kwargs: Any,
-) -> FlowServerSystem:
-    """Flow-mode counterpart of :func:`repro.exp.server.build_system`."""
-    common: Dict[str, Any] = dict(
-        seed=config.seed,
-        functional_rate=config.functional_rate,
-        interval_s=config.flow_interval_s,
-        packet_bytes=config.packet_bytes,
-        **kwargs,
-    )
-    if kind in PLATFORMS:
-        return FlowPlatformSystem(function, platform=kind, **common)
-    if kind not in FLOW_SYSTEM_CLASSES:
-        raise ValueError(
-            f"unknown system kind {kind!r}; known: "
-            f"{(*FLOW_SYSTEM_CLASSES, *PLATFORMS)}"
-        )
-    return FLOW_SYSTEM_CLASSES[kind](function, **common)
-
-
-def run_at_rate_flow(
-    kind: str,
-    function: str,
-    rate_gbps: float,
-    config: "RunConfig",
-    **kwargs: Any,
-) -> RunMetrics:
-    """Flow-mode constant-rate run (dispatched from ``run_at_rate``)."""
-    system = build_flow_system(kind, function, config, **kwargs)
-    source = ConstantRateSource(rate_gbps)
-    multiplicity = config.spec(rate_gbps).batch
-    return system.run(source, config.duration_s, train_multiplicity=multiplicity)
-
-
-def run_trace_flow(
-    kind: str,
-    function: str,
-    trace: str,
-    config: "RunConfig",
-    **kwargs: Any,
-) -> RunMetrics:
-    """Flow-mode trace run: same RNG streams → same rate schedule as the
-    packet-mode generator for this spec."""
-    from repro.net.traffic import META_TRACES
-
-    average = META_TRACES[trace].average_gbps
-    system = build_flow_system(kind, function, config, **kwargs)
-    spec = config.spec(average * 3)
-    source = TraceRateSource(
-        trace,
-        system.rng,
-        system.plan,
-        spec,
-        trace_interval_s=config.trace_interval_s,
-    )
-    multiplicity = spec.batch
-    return system.run(source, config.duration_s, train_multiplicity=multiplicity)

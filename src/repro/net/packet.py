@@ -75,14 +75,6 @@ def incremental_checksum_update(old_checksum: int, old_word: int, new_word: int)
     return (~total) & 0xFFFF
 
 
-def _address_words(endpoint_ip: int) -> List[int]:
-    return [(endpoint_ip >> 16) & 0xFFFF, endpoint_ip & 0xFFFF]
-
-
-def _mac_words(mac: int) -> List[int]:
-    return [(mac >> 32) & 0xFFFF, (mac >> 16) & 0xFFFF, mac & 0xFFFF]
-
-
 #: memoized folded deltas for endpoint rewrites, keyed by (old, new).
 #: A run touches a handful of endpoint pairs (client/snic/host), so the
 #: steady-state HLB rewrite is one dict hit + one folded add.

@@ -4,7 +4,7 @@ A checkpoint is a JSON envelope::
 
     {
       "format":  "repro-checkpoint",
-      "version": 2,
+      "version": 3,
       "kind":    "<what the body describes>",
       "sha256":  "<hex digest of the canonical body>",
       "body":    { ... }
@@ -35,7 +35,7 @@ import os
 from typing import Any, Dict, Optional
 
 #: current checkpoint body-layout version (all kinds bump together)
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: envelope format tag
 CHECKPOINT_FORMAT = "repro-checkpoint"

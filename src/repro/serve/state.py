@@ -12,6 +12,10 @@ identical component state and RNG streams the resumed run is
 byte-identical to the uninterrupted one.
 
 The timers are the rack tick, the autoscaler tick and pending wakes.
+The rack tick is the one flow-mode run loop
+(:class:`repro.flow.system.RackStepper`, which a single flow server
+also runs, as a rack of one); it alone counts generated packets, so a
+member's state has no generated count (checkpoint version 3).
 Algorithm 1 is not among them: in both simulation modes the policy is
 evaluated on demand
 (:meth:`repro.core.lbp.LoadBalancingPolicy.advance_to`), so its tick
@@ -44,8 +48,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.cluster.autoscaler import RackAutoscaler
 from repro.core.lbp import LoadBalancingPolicy
-from repro.fabric.shard import RackShard
-from repro.flow.cluster import RackSnapshot
+from repro.fabric.shard import RackShard, RackSnapshot
 from repro.flow.station import FlowStation
 from repro.sim.engine import Simulator
 
@@ -125,7 +128,6 @@ def _member_state(member: Any) -> Dict[str, Any]:
     state: Dict[str, Any] = {
         "kind": member.kind,
         "samples": [[latency, weight] for latency, weight in member._samples],
-        "generated_packets": member._generated_packets,
         "delivered_packets": member._delivered_packets,
         "delivered_bits": member._delivered_bits,
         "dropped_packets": member._dropped_packets,
@@ -160,7 +162,6 @@ def _restore_member(member: Any, state: Dict[str, Any]) -> None:
     member._samples = [
         (latency, weight) for latency, weight in state["samples"]
     ]
-    member._generated_packets = state["generated_packets"]
     member._delivered_packets = state["delivered_packets"]
     member._delivered_bits = state["delivered_bits"]
     member._dropped_packets = state["dropped_packets"]
@@ -238,14 +239,13 @@ def _rearm_timers(shard: RackShard, timers: List[Dict[str, Any]]) -> None:
     whose handle replaces the component's stale one.
     """
     sim = shard.cluster.sim
-    cluster = shard.cluster
-    autoscaler = cluster.autoscaler
+    autoscaler = shard.cluster.autoscaler
     for record in sorted(timers, key=lambda r: int(r["seq"])):
         kind = record["kind"]
         when = record["time"]
         if kind == _TIMER_STEPPER:
             shard.stepper._stop_tick = sim.every(
-                cluster.interval_s,
+                shard.stepper.interval_s,
                 shard.stepper._tick,
                 start=when,
                 priority=Simulator.PRIORITY_NORMAL,
@@ -332,7 +332,7 @@ def shard_state(shard: RackShard, _arg: Any = None) -> Dict[str, Any]:
             "window_bits": stepper._window_bits,
             "max_window_gbps": stepper._max_window_gbps,
             "frozen": dict(stepper._frozen),
-            "sample_marks": list(stepper._sample_marks),
+            "sample_marks": list(shard._sample_marks),
         },
         "front": {
             "dispatched_bits": cluster.front.dispatched_bits,
@@ -403,7 +403,7 @@ def restore_shard(shard: RackShard, state: Dict[str, Any]) -> bool:
     stepper._window_bits = stepper_state["window_bits"]
     stepper._max_window_gbps = stepper_state["max_window_gbps"]
     stepper._frozen = dict(stepper_state["frozen"])
-    stepper._sample_marks = list(stepper_state["sample_marks"])
+    shard._sample_marks = list(stepper_state["sample_marks"])
 
     front_state = state["front"]
     cluster.front.dispatched_bits = front_state["dispatched_bits"]

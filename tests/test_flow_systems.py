@@ -8,13 +8,13 @@ import pytest
 from repro.bench import flow_rack_smoke_specs, payload_sha256
 from repro.cluster.system import run_rack, scaled_trace
 from repro.core import SYSTEM_CLASSES
-from repro.exp.server import RunConfig, run_at_rate, run_trace
+from repro.exp.server import RunConfig, build_system, run_at_rate, run_trace
 from repro.fabric.shard import RackShard, RackShardSpec
 from repro.flow.batch import FlowBatch
-from repro.flow.cluster import FlowClusterSystem, RackStepper
+from repro.flow.cluster import FlowClusterSystem
 from repro.flow.source import ConstantRateSource, TraceRateSource
 from repro.flow.station import FlowStation
-from repro.flow.system import FLOW_SYSTEM_CLASSES, build_flow_system
+from repro.flow.system import FLOW_SYSTEM_CLASSES
 from repro.flow.validate import DEFAULT_TOLERANCES, compare_cell
 from repro.hw.power import ROLE_HOST, ROLE_SNIC, PowerModel
 from repro.hw.profiles import get_profile
@@ -66,7 +66,7 @@ class TestFlowSystems:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            build_flow_system("warp", "nat", FLOW)
+            build_system("warp", "nat", FLOW)
 
     def test_snic_share_split(self):
         hal = run_at_rate("hal", "nat", 80.0, FLOW)
@@ -85,7 +85,7 @@ class TestFlowSystems:
             ConstantRateSource(-1.0)
 
     def test_trace_source_matches_packet_schedule(self):
-        system = build_flow_system("hal", "nat", FLOW)
+        system = build_system("hal", "nat", FLOW)
         spec = FLOW.spec(20.0)
         source = TraceRateSource(
             "web", system.rng, system.plan, spec, trace_interval_s=0.02
@@ -136,6 +136,23 @@ class TestFlowRack:
         with pytest.raises(ValueError):
             FlowClusterSystem("hal,warp", "nat", servers=2)
 
+    @pytest.mark.parametrize("autoscale", [True, False])
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_rack_extras_match_packet_mode(self, servers, autoscale):
+        """Both modes report the rack extras by one rule: the same key
+        set for every rack size, with or without an autoscaler."""
+        extras = [
+            run_rack(
+                "hal", "nat", "web", config, servers=servers, autoscale=autoscale
+            ).extras
+            for config in (PACKET, FLOW)
+        ]
+        assert set(extras[0]) == set(extras[1])
+        assert extras[1]["servers"] == float(servers)
+        assert ("rack_wakes" in extras[1]) == autoscale
+        if not autoscale:
+            assert extras[1]["rack_awake_mean"] == float(servers)
+
     @pytest.mark.parametrize("cell", sorted(flow_rack_smoke_specs()))
     def test_payload_matches_pinned_sha(self, cell):
         spec = flow_rack_smoke_specs()[cell]
@@ -150,12 +167,12 @@ class TestFlowRack:
 
         cluster, source, duration_s, multiplicity = _flow_rack(interval_s)
         rates = source.rates(duration_s, interval_s)
-        stepper = RackStepper(cluster, len(rates), multiplicity)
+        stepper = cluster.start(len(rates), multiplicity)
         per_epoch = round(0.02 / interval_s)
         for epoch, first in enumerate(range(0, len(rates), per_epoch), 1):
             stepper.push_rates(rates[first:first + per_epoch])
             stepper.advance_to(epoch * per_epoch * interval_s)
-        stepped = stepper.finish(source.offered_gbps, duration_s)
+        stepped = cluster.finish(stepper, source.offered_gbps, duration_s)
 
         assert json.dumps(stepped.to_dict(), sort_keys=True) == json.dumps(
             one_shot.to_dict(), sort_keys=True
@@ -208,7 +225,7 @@ class TestStationClockedLbp:
                         lambda lbp=member.lbp: lbp.advance_to(sim.now),
                     )
             rates = source.rates(duration_s, interval_s)
-            racks.append((cluster, RackStepper(cluster, len(rates), multiplicity)))
+            racks.append((cluster, cluster.start(len(rates), multiplicity)))
         per_epoch = round(0.01 / interval_s)
         for epoch, first in enumerate(range(0, len(rates), per_epoch), 1):
             states = []
@@ -222,10 +239,10 @@ class TestStationClockedLbp:
             assert states[0] == states[1]
         payloads = [
             json.dumps(
-                stepper.finish(source.offered_gbps, duration_s).to_dict(),
+                cluster.finish(stepper, source.offered_gbps, duration_s).to_dict(),
                 sort_keys=True,
             )
-            for _, stepper in racks
+            for cluster, stepper in racks
         ]
         assert payloads[0] == payloads[1]
         if function == "kvs":
@@ -238,9 +255,9 @@ class TestStationClockedLbp:
         wake; the LBP ticks (ten per rack tick here) cost none."""
         cluster, source, duration_s, multiplicity = _flow_rack(1e-3)
         rates = source.rates(duration_s, 1e-3)
-        stepper = RackStepper(cluster, len(rates), multiplicity)
+        stepper = cluster.start(len(rates), multiplicity)
         stepper.push_rates(rates)
-        stepper.finish(source.offered_gbps, duration_s)
+        cluster.finish(stepper, source.offered_gbps, duration_s)
 
         sim = cluster.sim
         autoscaler = cluster.autoscaler

@@ -61,12 +61,13 @@ class TestEnvelope:
 
     def test_version_one_layout_rejected(self, tmp_path):
         """Version 1 bodies carried LBP recurrences as timers; version 2
-        records the station-clocked tick cursor instead."""
+        records the station-clocked tick cursor instead, and version 3
+        drops the always-zero per-member generated count."""
         path = str(tmp_path / "ck.json")
         write_checkpoint(path, "k", {"x": 1})
         with open(path) as fh:
             envelope = json.load(fh)
-        assert envelope["version"] == SNAPSHOT_VERSION == 2
+        assert envelope["version"] == SNAPSHOT_VERSION == 3
         envelope["version"] = 1
         with open(path, "w") as fh:
             json.dump(envelope, fh)
