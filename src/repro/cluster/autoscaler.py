@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.fronttier import FrontTierPort
 from repro.cluster.policies import ServerSlot
 from repro.cluster.power import RackPowerModel
-from repro.core.systems import ServerSystem
+from repro.core.systems import Server, capacity_gbps
 from repro.sim.engine import EventHandle, Simulator
 
 STATE_AWAKE = "awake"
@@ -71,16 +71,10 @@ class ManagedServer:
 
     __slots__ = ("slot", "system", "capacity_gbps", "state")
 
-    def __init__(self, slot: ServerSlot, system: ServerSystem) -> None:
+    def __init__(self, slot: ServerSlot, system: Server) -> None:
         self.slot = slot
         self.system = system
-        # processing capacity only: forward stages move packets, they
-        # don't complete them, so they don't add rack capacity
-        self.capacity_gbps = sum(
-            engine.capacity_gbps
-            for engine in system.engines()
-            if not engine.forward_stage
-        )
+        self.capacity_gbps = capacity_gbps(system)
         self.state = STATE_AWAKE
 
     def quiescent(self) -> bool:

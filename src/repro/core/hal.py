@@ -28,10 +28,9 @@ from repro.core.hlb import HardwareLoadBalancer
 from repro.core.lbp import LbpConfig, LoadBalancingPolicy, profiled_initial_threshold
 from repro.core.systems import ServerSystem, snic_share
 from repro.hw.cxl import make_cxl_state_domain, make_pcie_state_domain
-from repro.hw.host import make_host_engine
+from repro.hw.pcie import host_delivery_latency_s, snic_delivery_latency_s
 from repro.hw.power import ROLE_HOST, ROLE_SNIC
 from repro.hw.profiles import FunctionProfile
-from repro.hw.snic import make_snic_engine
 from repro.net.packet import Packet
 
 
@@ -89,31 +88,18 @@ class HalSystem(ServerSystem):
         self.hlb = HardwareLoadBalancer(self.sim, self.plan, threshold)
         self.add_stopper(self.hlb.stop)
 
-        self.snic_engine = make_snic_engine(
-            self.sim,
-            self.function,
-            name_prefix=self.engine_prefix,
-            nf=self.nf,
-            functional_rate=self.functional_rate,
-            metrics=self.metrics,
-            on_complete=self.client_sink,
-            state_domain=self.state_domain,
-            state_agent="snic",
+        self.snic_engine = self._nf_engine(
+            profile.snic, ROLE_SNIC,
+            delivery_latency_s=snic_delivery_latency_s(),
+            state_domain=self.state_domain, state_agent="snic",
         )
-        self.host_engine = make_host_engine(
-            self.sim,
-            self.function,
-            name_prefix=self.engine_prefix,
-            nf=self.nf,
-            functional_rate=self.functional_rate,
-            metrics=self.metrics,
+        self.host_engine = self._nf_engine(
+            profile.host, ROLE_HOST,
             on_complete=self._host_egress,
-            state_domain=self.state_domain,
-            state_agent="host",
+            delivery_latency_s=host_delivery_latency_s(),
+            state_domain=self.state_domain, state_agent="host",
             sleep_enabled=self.host_sleep,
         )
-        self.power.track(self.snic_engine, ROLE_SNIC)
-        self.power.track(self.host_engine, ROLE_HOST)
         self.power.set_constant("hlb", self.power.config.hlb_fpga_w)
 
         self.eswitch.attach_port("snic", self.snic_engine.receive)

@@ -24,12 +24,9 @@ from __future__ import annotations
 
 from repro.core.hlb import TrafficDirector
 from repro.core.systems import ServerSystem, snic_share
-from repro.hw.host import make_host_engine
-from repro.hw.pcie import host_delivery_latency_s
-from repro.hw.platform import ProcessingEngine
+from repro.hw.pcie import host_delivery_latency_s, snic_delivery_latency_s
 from repro.hw.power import ROLE_HOST, ROLE_SNIC
 from repro.hw.profiles import EngineProfile
-from repro.hw.snic import make_snic_engine
 from repro.net.packet import Packet
 
 #: per-SNIC-core DPDK store-and-forward capacity (fitted to Fig. 5)
@@ -104,39 +101,24 @@ class SlbSystem(ServerSystem):
         super().__init__(function, **kwargs)
 
     def _build(self) -> None:
-        self.snic_engine = make_snic_engine(
-            self.sim,
-            self.function,
-            name_prefix=self.engine_prefix,
+        profile = self.profile
+        self.snic_engine = self._nf_engine(
+            profile.snic, ROLE_SNIC,
             active_cores=slb_nf_cores(
-                self.profile.snic, self.slb_cores, self.total_snic_cores
+                profile.snic, self.slb_cores, self.total_snic_cores
             ),
-            nf=self.nf,
-            functional_rate=self.functional_rate,
-            metrics=self.metrics,
-            on_complete=self.client_sink,
+            delivery_latency_s=snic_delivery_latency_s(),
         )
-        fwd_profile = _forward_profile(self.slb_cores)
-        self.forward_engine = ProcessingEngine(
-            self.sim,
-            fwd_profile,
-            name=self.engine_prefix + fwd_profile.name,
+        self.forward_engine = self._engine(
+            _forward_profile(self.slb_cores), ROLE_SNIC,
             forward_stage=True,
             service_jitter=SLB_SERVICE_JITTER,
             on_complete=self._deliver_to_host,
         )
-        self.host_engine = make_host_engine(
-            self.sim,
-            self.function,
-            name_prefix=self.engine_prefix,
-            nf=self.nf,
-            functional_rate=self.functional_rate,
-            metrics=self.metrics,
-            on_complete=self.client_sink,
+        self.host_engine = self._nf_engine(
+            profile.host, ROLE_HOST,
+            delivery_latency_s=host_delivery_latency_s(),
         )
-        self.power.track(self.snic_engine, ROLE_SNIC)
-        self.power.track(self.forward_engine, ROLE_SNIC)
-        self.power.track(self.host_engine, ROLE_HOST)
         # the rate split SLB computes in software from rx_burst counts
         self.director = TrafficDirector(self.sim, self.plan, self.fwd_threshold_gbps)
 
@@ -172,35 +154,21 @@ class HostSideSlbSystem(ServerSystem):
         super().__init__(function, **kwargs)
 
     def _build(self) -> None:
-        self.host_fwd_engine = ProcessingEngine(
-            self.sim,
-            HOST_SLB_FWD_PROFILE,
-            name=self.engine_prefix + HOST_SLB_FWD_PROFILE.name,
+        profile = self.profile
+        self.host_fwd_engine = self._engine(
+            HOST_SLB_FWD_PROFILE, ROLE_HOST,
             delivery_latency_s=host_delivery_latency_s(),
             forward_stage=True,
             on_complete=self._split,
         )
-        self.snic_engine = make_snic_engine(
-            self.sim,
-            self.function,
-            name_prefix=self.engine_prefix,
-            nf=self.nf,
-            functional_rate=self.functional_rate,
-            metrics=self.metrics,
-            on_complete=self.client_sink,
+        self.snic_engine = self._nf_engine(
+            profile.snic, ROLE_SNIC,
+            delivery_latency_s=snic_delivery_latency_s(),
         )
-        self.host_engine = make_host_engine(
-            self.sim,
-            self.function,
-            name_prefix=self.engine_prefix,
-            nf=self.nf,
-            functional_rate=self.functional_rate,
-            metrics=self.metrics,
-            on_complete=self.client_sink,
+        self.host_engine = self._nf_engine(
+            profile.host, ROLE_HOST,
+            delivery_latency_s=host_delivery_latency_s(),
         )
-        self.power.track(self.host_fwd_engine, ROLE_HOST)
-        self.power.track(self.snic_engine, ROLE_SNIC)
-        self.power.track(self.host_engine, ROLE_HOST)
         self.director = TrafficDirector(self.sim, self.plan, self.fwd_threshold_gbps)
 
     def ingress(self, packet: Packet) -> None:

@@ -1,19 +1,27 @@
-"""Baseline systems: host-only and SNIC-only processing.
+"""Baseline systems: host-only, SNIC-only and the single-engine platforms.
 
-These are the two static configurations HAL is compared against
-throughout the evaluation: every packet processed by the host processor
-(eSwitch forwards straight through the PCIe switch; all eight host cores
-busy-poll), or every packet processed by the SNIC processor (host cores
-never touched — the server sits at its ~194 W idle floor plus the SNIC's
-few active watts).
+The host-only and SNIC-only configurations are the two static baselines
+HAL is compared against throughout the evaluation: every packet
+processed by the host processor (eSwitch forwards straight through the
+PCIe switch; all eight host cores busy-poll), or every packet processed
+by the SNIC processor (host cores never touched — the server sits at
+its ~194 W idle floor plus the SNIC's few active watts).  Both are
+:class:`PlatformSystem` kinds pinned to the evaluation server's
+platforms (Skylake, BlueField-2); Fig. 10 adds BlueField-3 and Sapphire
+Rapids.  :func:`platform_stage` is the one description of a platform's
+stage, which flow mode's platform kinds build from too.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.core.systems import ServerSystem
-from repro.hw.host import make_host_engine
+from repro.hw.host import host_engine_profile
+from repro.hw.pcie import host_delivery_latency_s, snic_delivery_latency_s
 from repro.hw.power import ROLE_HOST, ROLE_SNIC
-from repro.hw.snic import make_snic_engine
+from repro.hw.profiles import EngineProfile
+from repro.hw.snic import snic_engine_profile
 from repro.net.packet import Packet
 
 #: single-engine platform kinds (Fig. 10): two SNIC generations, two hosts
@@ -21,61 +29,25 @@ PLATFORMS = ("bf2", "bf3", "skylake", "spr")
 SNIC_PLATFORMS = ("bf2", "bf3")
 
 
-class HostOnlySystem(ServerSystem):
-    """All packets to the host processor (the paper's 'Host' columns)."""
-
-    kind = "host"
-
-    def _build(self) -> None:
-        self.engine = make_host_engine(
-            self.sim,
-            self.function,
-            name_prefix=self.engine_prefix,
-            nf=self.nf,
-            functional_rate=self.functional_rate,
-            metrics=self.metrics,
-            on_complete=self.client_sink,
+def platform_stage(function: str, platform: str) -> Tuple[EngineProfile, float, str]:
+    """``(profile, delivery latency, power role)`` of the one stage a
+    ``platform`` kind runs ``function`` on, in either simulation mode."""
+    if platform in SNIC_PLATFORMS:
+        return (
+            snic_engine_profile(function, platform),
+            snic_delivery_latency_s(),
+            ROLE_SNIC,
         )
-        self.power.track(self.engine, ROLE_HOST)
-        self.eswitch.attach_port("host", self.engine.receive)
-        self.eswitch.add_rule(self.plan.snic, "host")
-        self.eswitch.set_default("host")
-
-    def ingress(self, packet: Packet) -> None:
-        self.eswitch.forward(packet)
-
-
-class SnicOnlySystem(ServerSystem):
-    """All packets to the SNIC processor (the paper's 'SNIC' columns)."""
-
-    kind = "snic"
-
-    def _build(self) -> None:
-        self.engine = make_snic_engine(
-            self.sim,
-            self.function,
-            name_prefix=self.engine_prefix,
-            nf=self.nf,
-            functional_rate=self.functional_rate,
-            metrics=self.metrics,
-            on_complete=self.client_sink,
-        )
-        self.power.track(self.engine, ROLE_SNIC)
-        self.eswitch.attach_port("snic", self.engine.receive)
-        self.eswitch.add_rule(self.plan.snic, "snic")
-        self.eswitch.set_default("snic")
-
-    def ingress(self, packet: Packet) -> None:
-        self.eswitch.forward(packet)
-
-    def _finalize(self) -> None:
-        # every delivered bit was processed on the SNIC
-        self.metrics.snic_share = 1.0
+    return (
+        host_engine_profile(function, platform),
+        host_delivery_latency_s(),
+        ROLE_HOST,
+    )
 
 
 class PlatformSystem(ServerSystem):
-    """A single engine built from an explicit profile — used by the
-    Fig. 10 BF-3 vs Sapphire Rapids comparison."""
+    """A single engine built from a named platform's profile; its one
+    eSwitch port, named by role, is the default route."""
 
     kind = "platform"
 
@@ -86,28 +58,33 @@ class PlatformSystem(ServerSystem):
         super().__init__(function, **kwargs)
 
     def _build(self) -> None:
-        if self.platform in SNIC_PLATFORMS:
-            self.engine = make_snic_engine(
-                self.sim, self.function, generation=self.platform,
-                name_prefix=self.engine_prefix,
-                nf=self.nf, functional_rate=self.functional_rate,
-                metrics=self.metrics, on_complete=self.client_sink,
-            )
-            self.power.track(self.engine, ROLE_SNIC)
-        else:
-            self.engine = make_host_engine(
-                self.sim, self.function, generation=self.platform,
-                name_prefix=self.engine_prefix,
-                nf=self.nf, functional_rate=self.functional_rate,
-                metrics=self.metrics, on_complete=self.client_sink,
-            )
-            self.power.track(self.engine, ROLE_HOST)
-        self.eswitch.attach_port("engine", self.engine.receive)
-        self.eswitch.set_default("engine")
+        profile, delivery, role = platform_stage(self.function, self.platform)
+        self.engine = self._nf_engine(profile, role, delivery_latency_s=delivery)
+        self.eswitch.attach_port(role, self.engine.receive)
+        self.eswitch.set_default(role)
 
     def ingress(self, packet: Packet) -> None:
         self.eswitch.forward(packet)
 
     def _finalize(self) -> None:
         if self.platform in SNIC_PLATFORMS:
+            # every delivered bit was processed on the SNIC
             self.metrics.snic_share = 1.0
+
+
+class HostOnlySystem(PlatformSystem):
+    """All packets to the host processor (the paper's 'Host' columns)."""
+
+    kind = "host"
+
+    def __init__(self, function: str, **kwargs) -> None:
+        super().__init__(function, platform="skylake", **kwargs)
+
+
+class SnicOnlySystem(PlatformSystem):
+    """All packets to the SNIC processor (the paper's 'SNIC' columns)."""
+
+    kind = "snic"
+
+    def __init__(self, function: str, **kwargs) -> None:
+        super().__init__(function, platform="bf2", **kwargs)

@@ -1,10 +1,19 @@
-"""Common server-system scaffolding.
+"""Common server scaffolding for both simulation modes.
 
-Every evaluated configuration — host-only, SNIC-only, SLB, HAL — is a
-:class:`ServerSystem`: a simulator, the HAL address plan, an embedded
-switch, one or two processing engines, a power model, and a metrics
-sink. Subclasses override :meth:`ingress` (what happens to a packet
-arriving from the client) and :meth:`_build` (which engines exist).
+Every evaluated configuration — host-only, SNIC-only, SLB, HAL, the
+platform kinds — is one composition: SNIC and host stages characterised
+per function (Table II), each tracked by the server's power model.
+:class:`Server` holds what both modes share: the function and its
+profile, the simulator, address plan, RNG registry and metrics sink,
+the per-server engine-name prefix, the power model, and the stage
+registry (:meth:`Server.engines`, in build order, which is tracking
+order).  :class:`ServerSystem` is the packet-mode base: it adds the
+embedded switch, the network function and tracing, and builds its
+stages through :meth:`ServerSystem._engine` and
+:meth:`ServerSystem._nf_engine`; flow mode's twin is
+:class:`repro.flow.system.FlowServerSystem` and its ``_station``.
+Subclasses override :meth:`ServerSystem.ingress` (what happens to a
+packet arriving from the client) and ``_build`` (which stages exist).
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.hw.platform import ProcessingEngine
 from repro.hw.power import ROLE_SNIC, PowerConfig, PowerModel
-from repro.hw.profiles import FunctionProfile, get_profile
+from repro.hw.profiles import EngineProfile, FunctionProfile, get_profile
 from repro.net.addressing import AddressPlan
 from repro.net.capture import CaptureTap
 from repro.net.eswitch import EmbeddedSwitch
@@ -72,8 +81,20 @@ def snic_share(systems: Iterable[Any]) -> float:
     return snic / total if total > 0 else 0.0
 
 
-class ServerSystem:
-    """Base class for the four evaluated server configurations."""
+def capacity_gbps(system: Any) -> float:
+    """A server's processing capacity in either simulation mode: forward
+    stages move packets, they don't complete them, so they add none."""
+    return sum(
+        engine.capacity_gbps
+        for engine in system.engines()
+        if not engine.forward_stage
+    )
+
+
+class Server:
+    """What a server is in both simulation modes: a function and its
+    profile, the run's simulator, plan, RNG and metrics, a power model,
+    and the stages that model tracks."""
 
     kind = "abstract"
 
@@ -83,7 +104,6 @@ class ServerSystem:
         seed: int = 2024,
         functional_rate: float = 0.0,
         power_config: Optional[PowerConfig] = None,
-        nf: Optional[NetworkFunction] = None,
         sim: Optional[Simulator] = None,
         plan: Optional[AddressPlan] = None,
         rng: Optional[RngRegistry] = None,
@@ -92,8 +112,9 @@ class ServerSystem:
     ) -> None:
         self.function = function
         self.profile: FunctionProfile = get_profile(function)
-        # standalone by default; a ClusterSystem passes shared sim/metrics
-        # (one event loop, one latency reservoir for the whole rack), a
+        self.functional_rate = functional_rate
+        # standalone by default; a rack passes shared sim/metrics (one
+        # event loop, one latency reservoir for the whole rack), a
         # per-server address plan, a spawned child RNG registry, and an
         # instance label that namespaces engine names per server
         self.sim = sim if sim is not None else Simulator()
@@ -101,12 +122,33 @@ class ServerSystem:
         self.rng = rng if rng is not None else RngRegistry(seed)
         self.metrics = metrics if metrics is not None else RunMetrics()
         self.instance = instance
-        self.engine_prefix = "" if instance is None else f"{instance}:"
+        self.engine_prefix = f"{instance}:" if instance else ""
         self.power = PowerModel(self.sim, power_config)
+        self._engines: List[Any] = []
+
+    def _track(self, stage: Any, role: str) -> Any:
+        """Power-track ``stage`` in ``role`` and register it."""
+        self.power.track(stage, role)
+        self._engines.append(stage)
+        return stage
+
+    def engines(self) -> List[Any]:
+        """Every stage, in build order (tracing, capacity, the rack
+        autoscaler's sleep/wake and occupancy probes).  Read-only."""
+        return self._engines
+
+
+class ServerSystem(Server):
+    """Packet-mode base: :class:`Server`'s arguments plus an optional
+    network function ``nf``; adds the embedded switch and tracing."""
+
+    def __init__(
+        self, function: str, nf: Optional[NetworkFunction] = None, **kwargs: Any
+    ) -> None:
+        super().__init__(function, **kwargs)
         self.eswitch = EmbeddedSwitch()
-        self.functional_rate = functional_rate
         self.nf = nf if nf is not None else (
-            create_function(function) if functional_rate > 0 else None
+            create_function(function) if self.functional_rate > 0 else None
         )
         self.responses = 0
         #: optional response interposer (the rack front tier's egress
@@ -118,8 +160,8 @@ class ServerSystem:
         # is one traced run; untraced systems keep tracer=None and every
         # hot-path hook stays a single pointer comparison
         self._obs_session = current_session()
-        label = f"{self.kind}/{function}" if instance is None else (
-            f"{instance}:{self.kind}/{function}"
+        label = f"{self.kind}/{function}" if self.instance is None else (
+            f"{self.instance}:{self.kind}/{function}"
         )
         self.tracer = (
             self._obs_session.new_run(label)
@@ -139,23 +181,46 @@ class ServerSystem:
     def ingress(self, packet: Packet) -> None:
         raise NotImplementedError
 
+    # -- stage builders ----------------------------------------------------
+    def _engine(
+        self, profile: EngineProfile, role: str, **kwargs: Any
+    ) -> ProcessingEngine:
+        """A stage named for this server (``s<i>:`` in a rack) and
+        tracked by its power model; build order is tracking order.  The
+        twin of flow mode's ``_station``."""
+        engine = ProcessingEngine(
+            self.sim, profile, name=self.engine_prefix + profile.name, **kwargs
+        )
+        return self._track(engine, role)
+
+    def _nf_engine(
+        self,
+        profile: EngineProfile,
+        role: str,
+        on_complete: Optional[Callable[[Packet], None]] = None,
+        **kwargs: Any,
+    ) -> ProcessingEngine:
+        """An :meth:`_engine` that runs the server's network function and
+        records end-to-end latency; it answers the client unless
+        ``on_complete`` says otherwise."""
+        return self._engine(
+            profile, role, nf=self.nf, functional_rate=self.functional_rate,
+            metrics=self.metrics, on_complete=on_complete or self.client_sink,
+            **kwargs,
+        )
+
     # -- observability wiring ---------------------------------------------
     def _wire_tracing(self) -> None:
         """Attach the run tracer across the layers after ``_build``.
 
-        Generic by construction: every :class:`ProcessingEngine` held as
-        an attribute gets busy-span tracing, the kernel and power model
-        get the tracer, and — when the session asks for packet capture —
-        taps interpose on the eSwitch ports and the client egress."""
+        Generic by construction: every stage in :meth:`engines` gets
+        busy-span tracing, the kernel and power model get the tracer,
+        and — when the session asks for packet capture — taps interpose
+        on the eSwitch ports and the client egress."""
         tracer = self.tracer
         self.sim.set_tracer(tracer)
         self.power.enable_tracing(tracer)
-        self._traced_engines = [
-            value
-            for value in self.__dict__.values()
-            if isinstance(value, ProcessingEngine)
-        ]
-        for engine in self._traced_engines:
+        for engine in self.engines():
             engine.enable_tracing(tracer)
         hlb = getattr(self, "hlb", None)
         if hlb is not None:
@@ -191,16 +256,6 @@ class ServerSystem:
         if self._client_tap is not None:
             self._client_tap(packet)
         self.responses += packet.multiplicity
-
-    def engines(self) -> List[ProcessingEngine]:
-        """Every :class:`ProcessingEngine` this system holds as an
-        attribute — the same generic scan tracing uses, exposed for the
-        rack layer (capacity estimates, server sleep/wake)."""
-        return [
-            value
-            for value in self.__dict__.values()
-            if isinstance(value, ProcessingEngine)
-        ]
 
     def add_stopper(self, stop: Callable[[], None]) -> None:
         self._stoppers.append(stop)
@@ -275,7 +330,7 @@ class ServerSystem:
         prefix = tracer.label
         sim = self.sim
         metrics = self.metrics
-        engines = getattr(self, "_traced_engines", [])
+        engines = self.engines()
         hlb = getattr(self, "hlb", None)
         state = {
             "generated": generator.generated_bytes,

@@ -31,12 +31,50 @@ from repro.cluster.policies import POLICIES
 from repro.exp.report import ExperimentResult
 from repro.exp.server import DEFAULT_CONFIG, RunConfig
 from repro.runner import JobSpec, current_runner
+from repro.sim.metrics import RunMetrics
 
 SYSTEMS = ("hal", "host", "slb")
 POLICY_GRID_SERVERS = 4
 SCALING_SERVERS = (4, 8, 16)
 FUNCTION = "nat"
 TRACE = "web"
+
+COLUMNS = (
+    "servers",
+    "policy",
+    "trace",
+    "system",
+    "max_gbps",
+    "avg_gbps",
+    "p99_us",
+    "power_w",
+    "ee",
+    "snic_share",
+    "awake_mean",
+)
+
+
+def add_rack_row(
+    result: ExperimentResult,
+    servers: int,
+    policy: str,
+    trace: str,
+    system: str,
+    metrics: RunMetrics,
+) -> None:
+    result.add_row(
+        servers=servers,
+        policy=policy,
+        trace=trace,
+        system=system,
+        max_gbps=metrics.extras.get("max_window_gbps", metrics.throughput_gbps),
+        avg_gbps=metrics.throughput_gbps,
+        p99_us=metrics.p99_latency_us,
+        power_w=metrics.average_power_w,
+        ee=metrics.energy_efficiency,
+        snic_share=metrics.snic_share,
+        awake_mean=metrics.extras.get("rack_awake_mean", float(servers)),
+    )
 
 
 def run(
@@ -50,19 +88,7 @@ def run(
     result = ExperimentResult(
         experiment="cluster",
         title="Rack-scale: dispatch policy and rack size vs energy efficiency",
-        columns=(
-            "servers",
-            "policy",
-            "trace",
-            "system",
-            "max_gbps",
-            "avg_gbps",
-            "p99_us",
-            "power_w",
-            "ee",
-            "snic_share",
-            "awake_mean",
-        ),
+        columns=COLUMNS,
     )
     grid = [
         (POLICY_GRID_SERVERS, policy, kind)
@@ -80,19 +106,7 @@ def run(
         for servers, policy, kind in grid
     ]
     for (servers, policy, kind), m in zip(grid, current_runner().map_metrics(specs)):
-        result.add_row(
-            servers=servers,
-            policy=policy,
-            trace=trace,
-            system=kind,
-            max_gbps=m.extras.get("max_window_gbps", m.throughput_gbps),
-            avg_gbps=m.throughput_gbps,
-            p99_us=m.p99_latency_us,
-            power_w=m.average_power_w,
-            ee=m.energy_efficiency,
-            snic_share=m.snic_share,
-            awake_mean=m.extras.get("rack_awake_mean", float(servers)),
-        )
+        add_rack_row(result, servers, policy, trace, kind, m)
     _add_ee_notes(result)
     result.add_note(
         "rack numbers are derived, not paper-anchored: ToR watts, server "
@@ -117,38 +131,14 @@ def run_focused(
         title=(
             f"Rack-scale: {servers} servers, {policy} policy, {trace} trace"
         ),
-        columns=(
-            "servers",
-            "policy",
-            "trace",
-            "system",
-            "max_gbps",
-            "avg_gbps",
-            "p99_us",
-            "power_w",
-            "ee",
-            "snic_share",
-            "awake_mean",
-        ),
+        columns=COLUMNS,
     )
     specs = [
         JobSpec.rack(kind, function, trace, config, servers=servers, policy=policy)
         for kind in systems
     ]
     for kind, m in zip(systems, current_runner().map_metrics(specs)):
-        result.add_row(
-            servers=servers,
-            policy=policy,
-            trace=trace,
-            system=kind,
-            max_gbps=m.extras.get("max_window_gbps", m.throughput_gbps),
-            avg_gbps=m.throughput_gbps,
-            p99_us=m.p99_latency_us,
-            power_w=m.average_power_w,
-            ee=m.energy_efficiency,
-            snic_share=m.snic_share,
-            awake_mean=m.extras.get("rack_awake_mean", float(servers)),
-        )
+        add_rack_row(result, servers, policy, trace, kind, m)
     _add_ee_notes(result)
     result.add_note(
         "rack numbers are derived, not paper-anchored (see EXPERIMENTS.md)"

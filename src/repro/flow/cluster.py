@@ -23,7 +23,7 @@ from typing import Any, List
 from repro.cluster.fronttier import TOR_LATENCY_S
 from repro.cluster.policies import POLICIES, ServerSlot
 from repro.cluster.system import Rack
-from repro.core.systems import snic_share
+from repro.core.systems import capacity_gbps, snic_share
 from repro.flow.system import FLOW_SYSTEM_CLASSES, RackStepper, fill_reservoir
 from repro.sim.metrics import RunMetrics
 
@@ -122,7 +122,7 @@ class FlowClusterSystem(Rack):  # type: ignore[misc]
     def _front_tier(self, policy: str, tor_latency_s: float) -> FlowFrontTier:
         return FlowFrontTier(
             self.slots,
-            [member.capacity_gbps for member in self.members],
+            [capacity_gbps(member) for member in self.members],
             policy,
             tor_latency_s=tor_latency_s,
         )

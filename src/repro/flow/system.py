@@ -10,12 +10,14 @@ against the station's Rx-ring shim and writes the real
 tick then applies that register to the whole arrival train — the
 per-batch steering decision the paper's HLB makes per packet.
 
-Each server's energy comes from the same
-:class:`~repro.hw.power.PowerModel` as packet mode, fed by each station's
-busy fraction once per interval, and each kind's wiring facts (HAL's
-cooperative check and initial ``Fwd_Th``, SLB's NF-core split, the
-host-side SLB forwarding profile, the SNIC share) are the ones
-:mod:`repro.core` declares for packet mode too.
+:class:`FlowServerSystem` derives from the same
+:class:`~repro.core.systems.Server` as packet mode's ``ServerSystem``:
+one power model fed by each station's busy fraction once per interval,
+one stage registry filled by :meth:`FlowServerSystem._station` (the twin
+of packet mode's ``_engine``) in build order.  Each kind's wiring facts
+(HAL's cooperative check and initial ``Fwd_Th``, SLB's NF-core split,
+the host-side SLB forwarding profile, a platform's stage, the SNIC
+share) are the ones :mod:`repro.core` declares for packet mode too.
 
 :class:`RackStepper` is the one flow-mode run loop.  A flow rack
 (:class:`repro.flow.cluster.FlowClusterSystem`) drives it through its
@@ -38,19 +40,15 @@ from repro.core.slb import (
     _forward_profile,
     slb_nf_cores,
 )
-from repro.core.static import PLATFORMS, SNIC_PLATFORMS
-from repro.core.systems import DRAIN_S, WINDOW_S, snic_share
+from repro.core.static import PLATFORMS, SNIC_PLATFORMS, platform_stage
+from repro.core.systems import DRAIN_S, WINDOW_S, Server, snic_share
 from repro.flow.batch import FlowBatch
 from repro.flow.station import FlowStation, LatencySamples, mean_latency_s
-from repro.hw.host import host_engine_profile
 from repro.hw.pcie import host_delivery_latency_s, snic_delivery_latency_s
-from repro.hw.power import ROLE_HOST, ROLE_SNIC, PowerConfig, PowerModel
-from repro.hw.profiles import EngineProfile, get_profile
-from repro.hw.snic import snic_engine_profile
-from repro.net.addressing import AddressPlan
+from repro.hw.power import ROLE_HOST, ROLE_SNIC
+from repro.hw.profiles import EngineProfile
 from repro.sim.engine import Simulator
 from repro.sim.metrics import LatencyReservoir, RunMetrics
-from repro.sim.rng import RngRegistry
 
 #: ``dispatch(rate_gbps, dt_s, packet_bits)`` → one rate per member
 Dispatch = Callable[[float, float, int], List[float]]
@@ -59,8 +57,12 @@ Dispatch = Callable[[float, float, int], List[float]]
 MAX_RESERVOIR_SAMPLES = 20_000
 
 
-class FlowServerSystem:
-    """Base class: the flow-mode result contract.
+# repro.core sits outside the strictly typed subset, so Server reads as
+# Any here
+class FlowServerSystem(Server):  # type: ignore[misc]
+    """Flow-mode base: :class:`~repro.core.systems.Server`'s arguments
+    plus the flow interval and packet size; the flow-mode result
+    contract.
 
     :meth:`run` produces the same :class:`~repro.sim.metrics.RunMetrics`
     shape as :meth:`repro.core.systems.ServerSystem.run` (offered/
@@ -70,37 +72,18 @@ class FlowServerSystem:
     interchangeably.
     """
 
-    kind = "abstract"
-
     def __init__(
         self,
         function: str,
-        seed: int = 2024,
-        functional_rate: float = 0.0,
         interval_s: float = 100e-6,
         packet_bytes: int = 1500,
-        power_config: Optional[PowerConfig] = None,
-        sim: Optional[Simulator] = None,
-        metrics: Optional[RunMetrics] = None,
-        rng: Optional[RngRegistry] = None,
-        plan: Optional[AddressPlan] = None,
-        instance: str = "",
+        **kwargs: Any,
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"flow interval must be positive ({interval_s})")
-        self.function = function
-        self.profile = get_profile(function)
-        self.functional_rate = functional_rate
+        super().__init__(function, **kwargs)
         self.interval_s = interval_s
         self.packet_bytes = packet_bytes
-        self.sim = sim if sim is not None else Simulator()
-        self.metrics = metrics if metrics is not None else RunMetrics()
-        self.rng = rng if rng is not None else RngRegistry(seed)
-        self.plan = plan if plan is not None else AddressPlan.default()
-        self.instance = instance
-        self.engine_prefix = f"{instance}:" if instance else ""
-        self.power = PowerModel(self.sim, power_config)
-
         self._samples: LatencySamples = []
         self._delivered_packets = 0.0
         self._delivered_bits = 0.0
@@ -122,35 +105,21 @@ class FlowServerSystem:
         """Finish periodic control processes (LBP ticks etc.) at the
         current time."""
 
-    def engines(self) -> List[FlowStation]:
-        """Every station, in build order (autoscaler/capacity surface)."""
-        return [
-            value
-            for value in self.__dict__.values()
-            if isinstance(value, FlowStation)
-        ]
-
-    @property
-    def capacity_gbps(self) -> float:
-        return sum(
-            station.capacity_gbps
-            for station in self.engines()
-            if not station.forward_stage
-        )
-
     def total_backlog_packets(self) -> float:
-        return sum(station.backlog_packets for station in self.engines())
+        stations: List[FlowStation] = self.engines()
+        return sum(station.backlog_packets for station in stations)
 
     # -- shared build and data-path helpers ----------------------------
     def _station(
         self, profile: EngineProfile, role: str, **kwargs: Any
     ) -> FlowStation:
         """A stage named for this server (``s<i>:`` in a rack) and
-        tracked by its power model; build order is tracking order."""
-        station = FlowStation(
-            profile, name=self.engine_prefix + profile.name, **kwargs
+        tracked by its power model; build order is tracking order.  The
+        twin of packet mode's ``ServerSystem._engine``."""
+        station: FlowStation = self._track(
+            FlowStation(profile, name=self.engine_prefix + profile.name, **kwargs),
+            role,
         )
-        self.power.track(station, role)
         return station
 
     def _advance(
@@ -407,14 +376,7 @@ class FlowPlatformSystem(FlowServerSystem):
         super().__init__(function, **kwargs)
 
     def _build(self) -> None:
-        if self.platform in SNIC_PLATFORMS:
-            profile = snic_engine_profile(self.function, self.platform)
-            delivery = snic_delivery_latency_s()
-            role = ROLE_SNIC
-        else:
-            profile = host_engine_profile(self.function, self.platform)
-            delivery = host_delivery_latency_s()
-            role = ROLE_HOST
+        profile, delivery, role = platform_stage(self.function, self.platform)
         self.engine = self._station(profile, role, delivery_latency_s=delivery)
 
     def _tick(self, batch: FlowBatch, train_multiplicity: int) -> None:

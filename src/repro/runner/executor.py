@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional
 
-from repro.exp.server import run_at_rate, run_trace
 from repro.obs.log import get_logger
 from repro.runner.spec import JobSpec
 
@@ -50,6 +49,10 @@ def decode_payload(payload: Dict[str, Any]) -> Any:
 
 def _compute(spec: JobSpec) -> Dict[str, Any]:
     global EXECUTION_COUNT
+    # imported lazily, like every experiment-side import here: the
+    # experiment package imports the runner
+    from repro.exp.server import run_at_rate, run_trace
+
     EXECUTION_COUNT += 1
     params = dict(spec.params)
     if spec.op == "at_rate":

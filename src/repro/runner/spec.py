@@ -18,9 +18,12 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.exp.server import RunConfig
+if TYPE_CHECKING:
+    # the experiment package imports the runner, so the runner reads
+    # RunConfig lazily (see from_canonical)
+    from repro.exp.server import RunConfig
 
 #: job kinds the executor knows how to run
 OPS = ("at_rate", "trace", "experiment", "rack")
@@ -125,6 +128,8 @@ class JobSpec:
         """Inverse of :meth:`canonical` — the wire format the serve
         daemon accepts sweep cells in (``spec.canonical()`` round-trips
         to an equal spec with the identical content hash)."""
+        from repro.exp.server import RunConfig
+
         try:
             params = tuple(
                 (str(key), value) for key, value in data.get("params", [])

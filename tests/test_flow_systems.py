@@ -7,15 +7,17 @@ import pytest
 
 from repro.bench import flow_rack_smoke_specs, payload_sha256
 from repro.cluster.system import run_rack, scaled_trace
-from repro.core import SYSTEM_CLASSES
+from repro.core import PLATFORMS, SYSTEM_CLASSES, PlatformSystem
+from repro.core.systems import Server, capacity_gbps
 from repro.exp.server import RunConfig, build_system, run_at_rate, run_trace
 from repro.fabric.shard import RackShard, RackShardSpec
 from repro.flow.batch import FlowBatch
 from repro.flow.cluster import FlowClusterSystem
 from repro.flow.source import ConstantRateSource, TraceRateSource
 from repro.flow.station import FlowStation
-from repro.flow.system import FLOW_SYSTEM_CLASSES
+from repro.flow.system import FLOW_SYSTEM_CLASSES, FlowPlatformSystem
 from repro.flow.validate import DEFAULT_TOLERANCES, compare_cell
+from repro.hw.platform import ProcessingEngine
 from repro.hw.power import ROLE_HOST, ROLE_SNIC, PowerModel
 from repro.hw.profiles import get_profile
 from repro.serve.state import restore_shard, shard_state
@@ -352,6 +354,50 @@ class TestKindTables:
         metrics = run_at_rate(kind, "nat", 10.0, config)
         assert metrics.delivered_packets > 0
         assert metrics.snic_share == share
+
+    # every kind in both tables plus the platform kinds, in both modes
+    @pytest.mark.parametrize("mode", ["packet", "flow"])
+    @pytest.mark.parametrize("kind", [*SYSTEM_CLASSES, *PLATFORMS])
+    def test_engines_are_the_tracked_stages_in_build_order(self, mode, kind):
+        system = build_system(kind, "nat", RunConfig(sim_mode=mode), instance="s1")
+        assert isinstance(system, Server)
+        engines = system.engines()
+        assert [engine.name for engine in engines] == list(system.power._roles)
+        assert all(engine.name.startswith("s1:") for engine in engines)
+        # exactly the stages a scan of the system's attributes finds
+        stage_type = FlowStation if mode == "flow" else ProcessingEngine
+        assert engines == [
+            value
+            for value in vars(system).values()
+            if isinstance(value, stage_type)
+        ]
+
+    @pytest.mark.parametrize("kind", [*SYSTEM_CLASSES, *PLATFORMS])
+    def test_capacity_counts_non_forward_stages_alike_in_both_modes(self, kind):
+        capacities = []
+        for mode in ("packet", "flow"):
+            system = build_system(kind, "nat", RunConfig(sim_mode=mode))
+            capacities.append(capacity_gbps(system))
+            assert capacity_gbps(system) == sum(
+                engine.capacity_gbps
+                for engine in system.engines()
+                if not engine.forward_stage
+            )
+        assert capacities[0] == capacities[1] > 0
+
+    @pytest.mark.parametrize("mode", ["packet", "flow"])
+    @pytest.mark.parametrize("kind, platform", [("host", "skylake"), ("snic", "bf2")])
+    def test_host_and_snic_are_platform_kinds(self, mode, kind, platform):
+        config = RunConfig(sim_mode=mode)
+        system = build_system(kind, "nat", config)
+        assert isinstance(
+            system, FlowPlatformSystem if mode == "flow" else PlatformSystem
+        )
+        assert system.platform == platform
+        twin = build_system(platform, "nat", config)
+        assert [e.profile for e in system.engines()] == [
+            e.profile for e in twin.engines()
+        ]
 
 
 class TestSharedKindFacts:

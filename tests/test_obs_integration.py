@@ -166,6 +166,16 @@ class TestCaptureTaps:
         # bounded windows: records never exceed the requested depth
         assert all(c["records"] <= 32 for c in captures)
 
+    @pytest.mark.parametrize(
+        "kind, port",
+        [("host", "host"), ("snic", "snic"), ("bf3", "snic"), ("spr", "host")],
+    )
+    def test_single_engine_port_named_by_role(self, kind, port):
+        session, _ = traced_run(kind=kind, rate=5.0, capture_packets=8)
+        (run,) = session.flight.runs
+        names = {c["name"] for c in run["captures"]}
+        assert names == {f"eswitch:{port}", "client-egress"}
+
 
 class TestDcmiSamplingEdgeCases:
     def make_model(self, period=1.0):

@@ -1,7 +1,12 @@
 """Tests for the orchestration subsystem: job specs, cache, runner."""
 
 import json
+import multiprocessing
 import os
+import pathlib
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -81,6 +86,44 @@ class TestParallelMatchesSequential:
         specs = sweep_specs(rates=[20.0, 5.0, 10.0])
         metrics = Runner(jobs=2).map_metrics(specs)
         assert [m.offered_gbps for m in metrics] == [20.0, 5.0, 10.0]
+
+
+class TestFreshInterpreter:
+    """The runner imports on its own: a spawn-started worker (the default
+    start method on macOS and Windows) begins from a bare interpreter and
+    unpickles ``execute_job`` before anything else is loaded."""
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.runner",
+            "repro.runner.spec",
+            "repro.runner.cache",
+            "repro.runner.executor",
+            "repro.runner.runner",
+            "repro.runner.context",
+            "repro.runner.sharded",
+            "repro.serve.planner",
+        ],
+    )
+    def test_module_imports_first(self, module):
+        repo_src = str(pathlib.Path(__file__).parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_spawn_worker_runs_an_at_rate_job(self):
+        spec = JobSpec.at_rate("host", "nat", 5.0, RunConfig(duration_s=0.005))
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            payload = pool.submit(executor.execute_job, spec).result(timeout=300)
+        assert payload == executor.execute_job(spec)
 
 
 class TestCache:
