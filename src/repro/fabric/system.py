@@ -23,7 +23,7 @@ in-process included).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 import repro.exp  # noqa: F401  (import order: exp must load before runner)
 from repro.fabric.control import (
@@ -33,7 +33,7 @@ from repro.fabric.control import (
     spawn_rack_name,
 )
 from repro.fabric.shard import SHARD_FACTORY, RackShardSpec
-from repro.flow.system import fill_reservoir
+from repro.flow.system import fill_reservoir_unit
 from repro.net.traffic import DIURNAL_PHASES, META_TRACES, stitch_diurnal_rates
 from repro.runner.sharded import ShardedRunner
 from repro.sim.metrics import RunMetrics
@@ -212,12 +212,10 @@ def _aggregate_fleet(
         for component, watts in rack.power_breakdown.items():
             breakdown[f"r{index}/{component}"] = watts
     fleet.power_breakdown = breakdown
-    samples: List[Tuple[float, float]] = []
+    latencies: List[float] = []
     for rack in rack_metrics:
-        samples.extend(
-            (value, 1.0) for value in rack.latency.to_dict()["samples"]
-        )
-    fill_reservoir(fleet.latency, samples)
+        latencies.extend(rack.latency.to_dict()["samples"])
+    fill_reservoir_unit(fleet.latency, latencies)
     total_bits = sum(r.delivered_bytes * 8 for r in rack_metrics)
     if total_bits > 0:
         fleet.snic_share = (
