@@ -18,7 +18,7 @@ Failing the *stale* direction is what makes the baseline monotone: it
 can never silently re-grow to its old size after a fix lands.
 
 The report's ``rules`` list is also checked against the families the
-ratchet is meant to cover (DET, MUT, OBS, UNIT, SNAP, THR, BAR): a
+ratchet is meant to cover (DET, MUT, OBS, UNIT, SNAP, BAR): a
 refactor that silently drops a rule family from the default run would
 otherwise make the ratchet vacuously green.
 """
@@ -37,7 +37,7 @@ DEFAULT_BASELINE = str(REPO_ROOT / "lint_baseline.json")
 #: every rule family the ratchet must see in the default run
 REQUIRED_RULES = frozenset({
     "DET01", "DET02", "DET03", "DET04", "MUT01", "OBS01", "UNIT01",
-    "SNAP01", "THR01", "THR02", "BAR01",
+    "SNAP01", "BAR01",
 })
 
 

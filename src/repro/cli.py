@@ -14,7 +14,6 @@ Usage::
     python -m repro journal fleet.jsonl                 # summarize a journal
     python -m repro fabric --racks 8 --checkpoint run.ckpt   # interruptible
     python -m repro fabric --resume run.ckpt            # continue, any -K
-    python -m repro serve --state-dir .repro-serve      # local job daemon
     python -m repro cache --gc --max-age 7              # cache stats / GC
 
 Each experiment prints the reproduced table/figure series; ``--out``
@@ -63,8 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "argument), or 'lint' (determinism/invariant static analysis; "
         "`hal-repro lint --help`), or 'validate-flow' (flow-mode "
         "cross-validation against packet-mode ground truth; see --grid), "
-        "or 'serve' (the local job daemon; `hal-repro serve --help`), or "
-        "'cache' (result-cache stats and GC; `hal-repro cache --help`)",
+        "or 'cache' (result-cache stats and GC; `hal-repro cache --help`)",
     )
     parser.add_argument(
         "target", nargs="?", default=None,
@@ -780,11 +778,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "serve":
-        # `hal-repro serve` likewise owns its flags (--state-dir, --port)
-        from repro.serve.daemon import main as serve_main
-
-        return serve_main(argv[1:])
     if argv and argv[0] == "cache":
         return run_cache_mode(argv[1:])
     args = build_parser().parse_args(argv)

@@ -4,11 +4,11 @@ Every load-bearing guarantee in this repo — the runner's
 content-addressed cache, the fig5/rack/fabric payload-identity gates,
 the "untraced runs are bit-identical" obs contract, the byte-identical
 checkpoint/resume promise, and the crc32-salted RNG spawn tree — holds
-only while the code never leaks nondeterminism or unguarded shared
-state.  :mod:`repro.lint` turns those rules from code comments into an
-enforced analysis: a **two-phase engine** whose phase 1 runs per-file
-AST rules (and can fan out over ``--jobs`` processes), and whose
-phase 2 merges per-file symbol summaries into a project-wide
+only while the code never leaks nondeterminism.  :mod:`repro.lint`
+turns those rules from code comments into an enforced analysis: a
+**two-phase engine** whose phase 1 runs per-file AST rules (and can
+fan out over ``--jobs`` processes), and whose phase 2 merges per-file
+symbol summaries into a project-wide
 :class:`~repro.lint.index.SymbolIndex` for the cross-module rules.
 
 ========  ==========================================================
@@ -35,10 +35,6 @@ UNIT01    unit-suffix consistency (``*_s`` vs ``*_us`` vs ``*_w``)
 SNAP01    snapshot completeness: every mutable field of a component
           walked by ``serve/state.py`` is captured by each of its
           walkers (byte-identical checkpoint resume)  [project]
-THR01     writes to lock-guarded attributes of threaded serve classes
-          hold the lock  [project]
-THR02     reads of lock-guarded attributes of threaded serve classes
-          hold the lock  [project]
 BAR01     fabric fleet-control state only accessed from epoch-barrier
           hooks (lockstep cross-rack determinism)  [project]
 ========  ==========================================================

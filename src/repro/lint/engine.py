@@ -12,7 +12,7 @@ summarises the file into a picklable
 a process pool (``--jobs``).  Phase 2 merges the summaries into a
 :class:`~repro.lint.index.SymbolIndex` and runs the *project* rules
 (:class:`ProjectRule`), which see the whole tree at once: snapshot
-completeness, lock discipline, barrier protocol.  A project finding is
+completeness and the barrier protocol.  A project finding is
 filtered through the suppression map of the file it *points at*, so an
 exemption lives next to the field or access it excuses.
 """
@@ -33,28 +33,17 @@ from repro.lint.index import ModuleSummary, SymbolIndex, summarize_module
 #: randomness are forbidden (they would leak into payload bytes and
 #: therefore into cache keys and identity shas)
 SIM_DOMAIN_PACKAGES: FrozenSet[str] = frozenset(
-    {"sim", "hw", "core", "net", "nf", "cluster", "exp", "flow", "fabric", "bench"}
+    {
+        "sim", "hw", "core", "net", "nf", "cluster", "exp", "flow", "fabric",
+        "bench", "serve",
+    }
 )
 
 #: packages/modules allowed to read the wall clock: orchestration and
 #: telemetry code that reports wall time but never feeds it back into
 #: simulated results
 WALL_CLOCK_ZONES: FrozenSet[str] = frozenset(
-    {"runner", "obs", "cli", "__main__", "lint", "serve"}
-)
-
-#: module-level overrides inside otherwise wall-clock packages: the
-#: ``repro.serve`` package is a wall-clock zone (daemon, client — real
-#: sockets and threads), but its checkpoint/restore half produces and
-#: replays simulation state, so those modules carry the full sim-domain
-#: discipline (a wall-clock read there would leak into payload bytes)
-SIM_DOMAIN_MODULES: FrozenSet[Tuple[str, str]] = frozenset(
-    {
-        ("serve", "snapshot"),
-        ("serve", "state"),
-        ("serve", "checkpoint"),
-        ("serve", "planner"),
-    }
+    {"runner", "obs", "cli", "__main__", "lint"}
 )
 
 #: the one module allowed to construct raw ``random`` streams — it is
@@ -147,15 +136,10 @@ class FileContext:
 
     @property
     def in_sim_domain(self) -> bool:
-        return (
-            self.package in SIM_DOMAIN_PACKAGES
-            or self.module_parts[:2] in SIM_DOMAIN_MODULES
-        )
+        return self.package in SIM_DOMAIN_PACKAGES
 
     @property
     def in_wall_clock_zone(self) -> bool:
-        if self.module_parts[:2] in SIM_DOMAIN_MODULES:
-            return False
         return self.package in WALL_CLOCK_ZONES or not self.module_parts
 
     @property

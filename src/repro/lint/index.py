@@ -3,20 +3,17 @@
 The per-file rules (DET01..UNIT01) are deliberately local — one file in,
 findings out.  The bug classes PRs 7–9 introduced are not local: a
 snapshot walker in ``serve/state.py`` that misses a field *defined in
-another module*, a job-table write that is guarded in one method and
-bare in another, fleet-control state touched outside the epoch barrier.
+another module*, fleet-control state touched outside the epoch barrier.
 Seeing those requires a model of the whole tree.
 
 This module builds that model.  :func:`summarize_module` walks one
 parsed file and produces a :class:`ModuleSummary` — classes with their
 attribute inventories (definition site, mutated-outside-``__init__``
-evidence, lock attributes), functions with parameter annotations,
-attribute accesses (read/write/call, with the ``with x.lock:`` contexts
-active at each site), intraclass call edges, and ``threading.Thread``
-target edges.  Everything in a summary is picklable plain data, so
-phase 1 can fan out over a process pool (``--jobs``).  The summaries
-merge into a :class:`SymbolIndex`, which phase-2 project rules query;
-no AST survives into phase 2.
+evidence), functions with parameter annotations, attribute accesses
+(read/write/call) and intraclass call edges.  Everything in a summary
+is picklable plain data, so phase 1 can fan out over a process pool
+(``--jobs``).  The summaries merge into a :class:`SymbolIndex`, which
+phase-2 project rules query; no AST survives into phase 2.
 
 The index is an over-approximation on the same terms as the rules: it
 resolves types through explicit annotations, ``Optional[...]``
@@ -36,7 +33,7 @@ ClassKey = Tuple[ModuleParts, str]
 
 #: method names that mutate their receiver in place; a call
 #: ``self.attr.append(x)`` is a *write* to ``attr`` for every rule that
-#: cares about mutation (snapshot completeness, lock discipline)
+#: cares about mutation (snapshot completeness)
 MUTATOR_METHODS = frozenset(
     {
         "append", "extend", "insert", "remove", "discard", "add", "pop",
@@ -44,8 +41,6 @@ MUTATOR_METHODS = frozenset(
         "popleft", "appendleft",
     }
 )
-
-_LOCK_FACTORIES = frozenset({"threading.Lock", "threading.RLock"})
 
 
 def import_aliases(tree: ast.Module) -> Dict[str, str]:
@@ -59,20 +54,6 @@ def import_aliases(tree: ast.Module) -> Dict[str, str]:
             for item in node.names:
                 aliases[item.asname or item.name] = f"{node.module}.{item.name}"
     return aliases
-
-
-def call_origin(node: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
-    """Dotted origin of a call target, resolved through import aliases."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        return aliases.get(func.id)
-    parts: List[str] = []
-    while isinstance(func, ast.Attribute):
-        parts.append(func.attr)
-        func = func.value
-    if isinstance(func, ast.Name) and func.id in aliases:
-        return ".".join([aliases[func.id]] + parts[::-1])
-    return None
 
 
 def normalize_type(annotation: Optional[str]) -> Optional[str]:
@@ -102,8 +83,7 @@ class AttrAccess:
     """One ``<root>.<attr>`` touch inside a function body.
 
     ``root`` is ``self`` or a parameter/local name; ``kind`` is
-    ``read``/``write``/``call``; ``locks`` lists the ``with x.lock:``
-    receiver keys (``"self._lock"``) active at the site.
+    ``read``/``write``/``call``.
     """
 
     root: str
@@ -111,7 +91,6 @@ class AttrAccess:
     line: int
     col: int
     kind: str
-    locks: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -142,8 +121,6 @@ class FunctionSummary:
     accesses: Tuple[AttrAccess, ...] = ()
     #: ``self.meth`` intraclass edges and bare-name module-level calls
     calls: Tuple[str, ...] = ()
-    #: method names handed to ``threading.Thread(target=...)``
-    thread_targets: Tuple[str, ...] = ()
 
     def first_param(self) -> Optional[Tuple[str, Optional[str]]]:
         for name, annotation in self.params:
@@ -163,9 +140,6 @@ class ClassSummary:
     is_dataclass: bool = False
     frozen: bool = False
     attrs: Dict[str, AttrDef] = field(default_factory=dict)
-    #: attr -> definition line for ``threading.Lock()/RLock()`` members
-    lock_attrs: Dict[str, int] = field(default_factory=dict)
-    methods: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -186,141 +160,116 @@ class ModuleSummary:
 
 
 class _BodyScan:
-    """Collect accesses/calls/locks from one function body.
+    """Collect accesses/calls from one function body.
 
-    A hand-rolled recursive walk (mirroring OBS01's) rather than a
-    NodeVisitor, because the ``with``-lock context is a property of the
-    *path* to a node, which a flat ``ast.walk`` cannot carry.
+    A hand-rolled recursive walk (mirroring OBS01's) rather than a flat
+    ``ast.walk``, so each attribute chain is recorded once, at its
+    first hop off the root, with the kind its position gives it.
     """
 
-    def __init__(self, aliases: Dict[str, str]) -> None:
-        self.aliases = aliases
+    def __init__(self) -> None:
         self.accesses: List[AttrAccess] = []
         self.calls: List[str] = []
-        self.thread_targets: List[str] = []
         self.typed_locals: Dict[str, str] = {}
-        #: local name -> ``self.X`` method names seen in its assignment,
-        #: so ``target = self._run_a if ... else self._run_b`` followed
-        #: by ``Thread(target=target)`` resolves both branches
-        self._method_refs: Dict[str, Set[str]] = {}
 
     # -- statements --------------------------------------------------
-    def walk(self, statements: Sequence[ast.stmt], locks: Tuple[str, ...]) -> None:
+    def walk(self, statements: Sequence[ast.stmt]) -> None:
         for stmt in statements:
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                inner = locks
                 for item in stmt.items:
-                    key = _lock_key(item.context_expr)
-                    if key is not None:
-                        inner = inner + (key,)
-                    else:
-                        self._expr(item.context_expr, locks)
-                self.walk(stmt.body, inner)
+                    self._expr(item.context_expr)
+                self.walk(stmt.body)
             elif isinstance(stmt, ast.Assign):
-                self._assign(stmt.targets, stmt.value, locks)
+                self._assign(stmt.targets, stmt.value)
             elif isinstance(stmt, ast.AnnAssign):
-                self._ann_assign(stmt, locks)
+                self._ann_assign(stmt)
             elif isinstance(stmt, ast.AugAssign):
-                self._store(stmt.target, locks)
-                self._expr(stmt.value, locks)
+                self._store(stmt.target)
+                self._expr(stmt.value)
             elif isinstance(stmt, ast.If):
-                self._expr(stmt.test, locks)
-                self.walk(stmt.body, locks)
-                self.walk(stmt.orelse, locks)
+                self._expr(stmt.test)
+                self.walk(stmt.body)
+                self.walk(stmt.orelse)
             elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._expr(stmt.iter, locks)
-                self.walk(stmt.body, locks)
-                self.walk(stmt.orelse, locks)
+                self._expr(stmt.iter)
+                self.walk(stmt.body)
+                self.walk(stmt.orelse)
             elif isinstance(stmt, ast.While):
-                self._expr(stmt.test, locks)
-                self.walk(stmt.body, locks)
-                self.walk(stmt.orelse, locks)
+                self._expr(stmt.test)
+                self.walk(stmt.body)
+                self.walk(stmt.orelse)
             elif isinstance(stmt, ast.Try):
-                self.walk(stmt.body, locks)
+                self.walk(stmt.body)
                 for handler in stmt.handlers:
-                    self.walk(handler.body, locks)
-                self.walk(stmt.orelse, locks)
-                self.walk(stmt.finalbody, locks)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # a closure shares the frame's state but runs at an
-                # unknown time — scan its body with NO lock context, so
-                # a lock held at the def site is never credited to it
-                self.walk(stmt.body, ())
-            elif isinstance(stmt, ast.ClassDef):
-                self.walk(stmt.body, ())
+                    self.walk(handler.body)
+                self.walk(stmt.orelse)
+                self.walk(stmt.finalbody)
+            elif isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                # a closure or local class shares the frame's names
+                self.walk(stmt.body)
             else:
                 for child in ast.iter_child_nodes(stmt):
                     if isinstance(child, ast.expr):
-                        self._expr(child, locks)
+                        self._expr(child)
 
-    def _assign(
-        self, targets: Sequence[ast.expr], value: ast.expr, locks: Tuple[str, ...]
-    ) -> None:
+    def _assign(self, targets: Sequence[ast.expr], value: ast.expr) -> None:
         for target in targets:
-            self._store(target, locks)
-        self._expr(value, locks)
+            self._store(target)
+        self._expr(value)
         if len(targets) == 1 and isinstance(targets[0], ast.Name):
-            name = targets[0].id
             if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-                self.typed_locals.setdefault(name, value.func.id)
-            refs = {
-                node.attr
-                for node in ast.walk(value)
-                if isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            }
-            if refs:
-                self._method_refs[name] = refs
+                self.typed_locals.setdefault(targets[0].id, value.func.id)
 
-    def _ann_assign(self, stmt: ast.AnnAssign, locks: Tuple[str, ...]) -> None:
-        self._store(stmt.target, locks)
+    def _ann_assign(self, stmt: ast.AnnAssign) -> None:
+        self._store(stmt.target)
         if isinstance(stmt.target, ast.Name):
             try:
                 self.typed_locals.setdefault(stmt.target.id, ast.unparse(stmt.annotation))
             except Exception:  # pragma: no cover - unparse covers real code
                 pass
         if stmt.value is not None:
-            self._expr(stmt.value, locks)
+            self._expr(stmt.value)
 
-    def _store(self, target: ast.expr, locks: Tuple[str, ...]) -> None:
+    def _store(self, target: ast.expr) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._store(element, locks)
+                self._store(element)
         elif isinstance(target, ast.Starred):
-            self._store(target.value, locks)
+            self._store(target.value)
         elif isinstance(target, ast.Subscript):
             # ``root.attr[key] = v`` mutates the container held in attr
             if isinstance(target.value, ast.Attribute):
-                self._record(target.value, "write", locks)
+                self._record(target.value, "write")
             else:
-                self._expr(target.value, locks)
-            self._expr(target.slice, locks)
+                self._expr(target.value)
+            self._expr(target.slice)
         elif isinstance(target, ast.Attribute):
-            self._record(target, "write", locks)
+            self._record(target, "write")
         # bare Name stores carry no attribute information
 
     # -- expressions -------------------------------------------------
-    def _expr(self, node: ast.expr, locks: Tuple[str, ...]) -> None:
+    def _expr(self, node: ast.expr) -> None:
         if isinstance(node, ast.Call):
-            self._call(node, locks)
+            self._call(node)
             return
         if isinstance(node, ast.Attribute):
-            self._record(node, "read", locks)
+            self._record(node, "read")
             return
         if isinstance(node, ast.Subscript):
-            self._expr(node.value, locks)
-            self._expr(node.slice, locks)
+            self._expr(node.value)
+            self._expr(node.slice)
             return
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
-                self._expr(child, locks)
+                self._expr(child)
             elif isinstance(child, ast.comprehension):
-                self._expr(child.iter, locks)
+                self._expr(child.iter)
                 for cond in child.ifs:
-                    self._expr(cond, locks)
+                    self._expr(cond)
 
-    def _call(self, node: ast.Call, locks: Tuple[str, ...]) -> None:
+    def _call(self, node: ast.Call) -> None:
         func = node.func
         chain: List[str] = []
         base = func
@@ -334,54 +283,35 @@ class _BodyScan:
                 # root.method(...) — an intraclass edge for self, a
                 # state touch for everything else (BAR01 cares)
                 self.calls.append(f"{root}.{chain[0]}")
-                self._note(root, chain[0], func, "call", locks)
+                self._note(root, chain[0], func, "call")
             else:
                 kind = "write" if chain[1] in MUTATOR_METHODS else "read"
-                self._note(root, chain[0], func, kind, locks)
+                self._note(root, chain[0], func, kind)
         elif isinstance(func, ast.Name):
             self.calls.append(func.id)
         else:
-            self._expr(func, locks)
-        origin = call_origin(node, self.aliases)
-        if origin == "threading.Thread":
-            self._thread_target(node)
+            self._expr(func)
         for arg in node.args:
-            self._expr(arg, locks)
+            self._expr(arg)
         for keyword in node.keywords:
-            self._expr(keyword.value, locks)
+            self._expr(keyword.value)
 
-    def _thread_target(self, node: ast.Call) -> None:
-        for keyword in node.keywords:
-            if keyword.arg != "target":
-                continue
-            value = keyword.value
-            if (
-                isinstance(value, ast.Attribute)
-                and isinstance(value.value, ast.Name)
-                and value.value.id == "self"
-            ):
-                self.thread_targets.append(value.attr)
-            elif isinstance(value, ast.Name):
-                self.thread_targets.extend(sorted(self._method_refs.get(value.id, ())))
-
-    def _record(self, node: ast.Attribute, kind: str, locks: Tuple[str, ...]) -> None:
+    def _record(self, node: ast.Attribute, kind: str) -> None:
         chain: List[str] = []
         base: ast.expr = node
         while isinstance(base, ast.Attribute):
             chain.append(base.attr)
             base = base.value
         if not isinstance(base, ast.Name):
-            self._expr(base, locks)
+            self._expr(base)
             return
         # only the first hop off the root names state we can reason
         # about (``self.cfg.epoch_s`` is a read of ``cfg``)
         attr = chain[-1]
         effective = kind if len(chain) == 1 else "read"
-        self._note(base.id, attr, node, effective, locks)
+        self._note(base.id, attr, node, effective)
 
-    def _note(
-        self, root: str, attr: str, node: ast.AST, kind: str, locks: Tuple[str, ...]
-    ) -> None:
+    def _note(self, root: str, attr: str, node: ast.AST, kind: str) -> None:
         self.accesses.append(
             AttrAccess(
                 root=root,
@@ -389,16 +319,8 @@ class _BodyScan:
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0) + 1,
                 kind=kind,
-                locks=locks,
             )
         )
-
-
-def _lock_key(expr: ast.expr) -> Optional[str]:
-    """``with root.attr:`` -> ``"root.attr"``; anything else -> None."""
-    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-        return f"{expr.value.id}.{expr.attr}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +341,10 @@ def _summarize_function(
     node: ast.FunctionDef,
     module: ModuleParts,
     path: str,
-    aliases: Dict[str, str],
     cls: Optional[str],
 ) -> FunctionSummary:
-    scan = _BodyScan(aliases)
-    scan.walk(node.body, ())
+    scan = _BodyScan()
+    scan.walk(node.body)
     params: List[Tuple[str, Optional[str]]] = []
     args = node.args
     for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
@@ -443,7 +364,6 @@ def _summarize_function(
         typed_locals=scan.typed_locals,
         accesses=tuple(scan.accesses),
         calls=tuple(scan.calls),
-        thread_targets=tuple(scan.thread_targets),
     )
 
 
@@ -474,7 +394,6 @@ def _summarize_class(
     node: ast.ClassDef,
     module: ModuleParts,
     path: str,
-    aliases: Dict[str, str],
 ) -> Tuple[ClassSummary, List[FunctionSummary]]:
     is_dataclass, frozen = _dataclass_flags(node)
     summary = ClassSummary(
@@ -506,42 +425,22 @@ def _summarize_class(
         elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if isinstance(item, ast.AsyncFunctionDef):
                 continue
-            fn = _summarize_function(item, module, path, aliases, node.name)
+            fn = _summarize_function(item, module, path, node.name)
             methods.append(fn)
-            in_init = item.name == "__init__"
             for access in fn.accesses:
-                if access.root != "self":
+                if access.root != "self" or access.kind != "write":
                     continue
-                if access.kind == "write":
-                    if in_init:
-                        attrs.setdefault(
-                            access.attr,
-                            AttrDef(access.attr, access.line, access.col, False),
-                        )
-                    else:
-                        mutated.add(access.attr)
-                        attrs.setdefault(
-                            access.attr,
-                            AttrDef(access.attr, access.line, access.col, False),
-                        )
-            if in_init:
-                for sub in ast.walk(item):
-                    if (
-                        isinstance(sub, ast.Assign)
-                        and len(sub.targets) == 1
-                        and isinstance(sub.targets[0], ast.Attribute)
-                        and isinstance(sub.targets[0].value, ast.Name)
-                        and sub.targets[0].value.id == "self"
-                        and isinstance(sub.value, ast.Call)
-                        and call_origin(sub.value, aliases) in _LOCK_FACTORIES
-                    ):
-                        summary.lock_attrs[sub.targets[0].attr] = sub.lineno
+                if item.name != "__init__":
+                    mutated.add(access.attr)
+                attrs.setdefault(
+                    access.attr,
+                    AttrDef(access.attr, access.line, access.col, False),
+                )
 
     summary.attrs = {
         name: AttrDef(d.name, d.line, d.col, name in mutated)
         for name, d in attrs.items()
     }
-    summary.methods = tuple(fn.name for fn in methods)
     return summary, methods
 
 
@@ -553,10 +452,10 @@ def summarize_module(
     out = ModuleSummary(module=module, path=path, imports=aliases)
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            fn = _summarize_function(node, module, path, aliases, None)
+            fn = _summarize_function(node, module, path, None)
             out.functions[fn.qualname] = fn
         elif isinstance(node, ast.ClassDef):
-            cls, methods = _summarize_class(node, module, path, aliases)
+            cls, methods = _summarize_class(node, module, path)
             out.classes[cls.name] = cls
             for fn in methods:
                 out.functions[fn.qualname] = fn
@@ -603,14 +502,6 @@ class SymbolIndex:
     def iter_classes(self) -> Iterator[ClassSummary]:
         for summary in self.modules.values():
             yield from summary.classes.values()
-
-    def functions_of_class(self, cls: ClassSummary) -> List[FunctionSummary]:
-        summary = self.modules.get(cls.module)
-        if summary is None:
-            return []
-        return [
-            fn for fn in summary.functions.values() if fn.cls == cls.name
-        ]
 
     # -- type resolution ---------------------------------------------
     def resolve_type(

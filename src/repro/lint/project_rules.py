@@ -1,4 +1,4 @@
-"""Cross-module rule families (phase 2): SNAP01, THR01/THR02, BAR01.
+"""Cross-module rule families (phase 2): SNAP01, BAR01.
 
 These rules consume the merged :class:`~repro.lint.index.SymbolIndex`
 instead of a single file's AST, because the invariants they protect
@@ -6,9 +6,6 @@ span modules by construction:
 
 * a snapshot walker in ``serve/state.py`` captures fields of classes
   defined in ``flow/``, ``cluster/``, ``fabric/``;
-* the daemon's job table is guarded in ``serve/daemon.py`` methods
-  *and* in the HTTP handler that borrows the daemon through a
-  parameter;
 * fleet-control state lives in ``fabric/control.py`` but is only legal
   to touch from the epoch loop in ``fabric/system.py`` (and the
   checkpoint resume path), which the index's call edges identify.
@@ -16,18 +13,16 @@ span modules by construction:
 Like the per-file rules, each one over-approximates syntactically and
 leaves ``# lint: disable=RULE-ID reason`` as the justified escape
 hatch — placed at the line the finding points at (the field definition
-for SNAP01, the access site for THR01/THR02/BAR01).
+for SNAP01, the access site for BAR01).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.lint.engine import Finding, ProjectRule
 from repro.lint.index import (
-    AttrAccess,
     ClassKey,
-    ClassSummary,
     FunctionSummary,
     ModuleParts,
     SymbolIndex,
@@ -113,7 +108,7 @@ class SnapshotCompletenessRule(ProjectRule):
             walkers = captured[key]
             for attr_name in sorted(cls.attrs):
                 attr = cls.attrs[attr_name]
-                if not attr.mutable or attr_name in cls.lock_attrs:
+                if not attr.mutable:
                     continue
                 missing = sorted(
                     name
@@ -136,193 +131,6 @@ class SnapshotCompletenessRule(ProjectRule):
                         "field here with a reason"
                     ),
                 )
-
-
-# ---------------------------------------------------------------------------
-# THR01 / THR02 — lock discipline in threaded serve code
-# ---------------------------------------------------------------------------
-
-#: modules whose classes run methods on real threads
-_THREADED_MODULES: Tuple[ModuleParts, ...] = (("serve", "daemon"), ("serve", "client"))
-
-
-def _init_only_methods(
-    cls: ClassSummary, methods: List[FunctionSummary]
-) -> Set[str]:
-    """Methods reachable *only* from ``__init__`` (least fixpoint over
-    intraclass ``self.m()`` edges).  They run before any worker thread
-    exists, so their bare accesses are not races — ``_load``/
-    ``_recover`` style constructors-by-other-names.  Thread targets are
-    never exempt: handing a method to ``Thread(target=...)`` is a call
-    site the edge scan cannot see."""
-    names = {fn.name for fn in methods}
-    thread_targets: Set[str] = set()
-    callers: Dict[str, Set[str]] = {}
-    for fn in methods:
-        thread_targets.update(fn.thread_targets)
-        for call in fn.calls:
-            if call.startswith("self."):
-                callee = call[len("self."):]
-                if callee in names:
-                    callers.setdefault(callee, set()).add(fn.name)
-    exempt: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name in names:
-            if name in exempt or name == "__init__" or name in thread_targets:
-                continue
-            sites = callers.get(name)
-            if sites and sites <= ({"__init__"} | exempt):
-                exempt.add(name)
-                changed = True
-    return exempt
-
-
-def _under_lock(access: AttrAccess, cls: ClassSummary) -> bool:
-    """Is the access inside ``with <same-root>.<lock-attr>:``?"""
-    for key in access.locks:
-        root, _, attr = key.partition(".")
-        if root == access.root and attr in cls.lock_attrs:
-            return True
-    return False
-
-
-def _lock_violations(
-    index: SymbolIndex,
-) -> Iterator[Tuple[ClassSummary, FunctionSummary, AttrAccess]]:
-    """Shared analysis behind THR01 (writes) and THR02 (reads).
-
-    For each lock-owning class (a ``threading.Lock/RLock`` assigned to
-    ``self.*`` in ``__init__``) in the threaded serve modules, an
-    attribute is *shared* once it is mutable and either (a) accessed at
-    least once under the lock anywhere — the code itself declares it
-    lock-protected — or (b) written from a thread-target method.  Every
-    other access to a shared attribute must hold the same lock, whether
-    it goes through ``self`` or through a parameter annotated with the
-    class (the HTTP handler borrowing the daemon).
-    """
-    for cls in index.iter_classes():
-        if cls.module not in _THREADED_MODULES or not cls.lock_attrs:
-            continue
-        key = (cls.module, cls.name)
-        methods = index.functions_of_class(cls)
-        thread_entries: Set[str] = set()
-        for fn in methods:
-            thread_entries.update(fn.thread_targets)
-        exempt = _init_only_methods(cls, methods)
-
-        records: List[Tuple[FunctionSummary, AttrAccess]] = []
-        for fn in index.iter_functions():
-            for access in fn.accesses:
-                if access.attr not in cls.attrs:
-                    continue
-                if index.resolve_local(fn, access.root) != key:
-                    continue
-                records.append((fn, access))
-
-        locked: Set[str] = set()
-        thread_written: Set[str] = set()
-        for fn, access in records:
-            if access.attr in cls.lock_attrs:
-                continue
-            if _under_lock(access, cls):
-                locked.add(access.attr)
-            if (
-                fn.cls == cls.name
-                and fn.name in thread_entries
-                and access.kind == "write"
-            ):
-                thread_written.add(access.attr)
-        shared = {
-            name
-            for name in locked | thread_written
-            if name in cls.attrs and cls.attrs[name].mutable
-        }
-
-        for fn, access in records:
-            if access.attr not in shared or access.kind == "call":
-                continue
-            if fn.cls == cls.name and (fn.name == "__init__" or fn.name in exempt):
-                continue
-            if _under_lock(access, cls):
-                continue
-            yield cls, fn, access
-
-
-class LockedWriteRule(ProjectRule):
-    """THR01: writes to lock-protected shared state must hold the lock.
-
-    ``ServeDaemon`` runs jobs on worker threads; its job table
-    (``_jobs``/``_order``/``_controls``/``_next_id``) is guarded by
-    ``self._lock``.  One bare write — say a status flip in a worker —
-    races the HTTP thread's reads and corrupts ``--state-dir``
-    persistence.  An attribute opts into protection the moment any
-    access to it appears under ``with self._lock:`` (or is written from
-    a ``Thread(target=...)`` method); from then on every write must
-    hold the same lock, through ``self`` or through a
-    daemon-annotated parameter.  ``__init__`` and methods reachable
-    only from it run before threads exist and are exempt.
-    """
-
-    rule_id = "THR01"
-    summary = (
-        "writes to lock-guarded attributes of threaded serve classes must "
-        "hold the lock"
-    )
-
-    def check_project(self, index: SymbolIndex) -> Iterator[Finding]:
-        for cls, fn, access in _lock_violations(index):
-            if access.kind != "write":
-                continue
-            yield Finding(
-                path=fn.path,
-                line=access.line,
-                col=access.col,
-                rule=self.rule_id,
-                message=(
-                    f"write to {cls.name}.{access.attr} outside `with "
-                    f"{access.root}.{sorted(cls.lock_attrs)[0]}:` — the "
-                    "attribute is lock-guarded elsewhere, so this store "
-                    "races the worker threads"
-                ),
-            )
-
-
-class LockedReadRule(ProjectRule):
-    """THR02: reads of lock-protected shared state must hold the lock.
-
-    The read half of THR01 — an unguarded read of the job table sees a
-    half-applied update (a job in ``_jobs`` but not ``_order``, a
-    control without its thread).  Python's GIL makes single attribute
-    loads atomic, but every invariant here spans *several* attributes,
-    which only the lock makes atomic together.  Same shared-attribute
-    definition, same exemptions, same escape hatch at the access site:
-    ``# lint: disable=THR02 reason``.
-    """
-
-    rule_id = "THR02"
-    summary = (
-        "reads of lock-guarded attributes of threaded serve classes must "
-        "hold the lock"
-    )
-
-    def check_project(self, index: SymbolIndex) -> Iterator[Finding]:
-        for cls, fn, access in _lock_violations(index):
-            if access.kind != "read":
-                continue
-            yield Finding(
-                path=fn.path,
-                line=access.line,
-                col=access.col,
-                rule=self.rule_id,
-                message=(
-                    f"read of {cls.name}.{access.attr} outside `with "
-                    f"{access.root}.{sorted(cls.lock_attrs)[0]}:` — the "
-                    "attribute is lock-guarded elsewhere, so this load can "
-                    "observe a half-applied update"
-                ),
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +173,8 @@ class BarrierProtocolRule(ProjectRule):
     The fabric's determinism story (PR 8) is lockstep: every rack
     advances one epoch, the barrier collects summaries, and only then
     does the :class:`FleetBalancer` observe and re-split.  Touching
-    balancer state from anywhere else — a telemetry callback, a
-    daemon poll — reads mid-epoch garbage or, worse, steers racks
+    balancer state from anywhere else — a telemetry callback, say —
+    reads mid-epoch garbage or, worse, steers racks
     that have not reached the barrier, and the divergence depends on
     shard scheduling (exactly what ``--shard-jobs`` identity forbids).
 
@@ -447,7 +255,5 @@ class BarrierProtocolRule(ProjectRule):
 #: phase-2 registry, consumed by repro.lint.rules.ALL_RULES
 PROJECT_RULES: Tuple[ProjectRule, ...] = (
     SnapshotCompletenessRule(),
-    LockedWriteRule(),
-    LockedReadRule(),
     BarrierProtocolRule(),
 )

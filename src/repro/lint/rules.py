@@ -677,7 +677,7 @@ class UnitSuffixRule(Rule):
 
 
 #: registry, in reporting order: per-file families, then the phase-2
-#: project families (SNAP01/THR01/THR02/BAR01) from project_rules
+#: project families (SNAP01/BAR01) from project_rules
 ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     RandomizedHashRule(),

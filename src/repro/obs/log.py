@@ -106,8 +106,8 @@ class StructuredLogger:
         try:
             print(kv_line(self.name, event, fields), file=_stream, flush=True)
         except ValueError:
-            # the stream can close under a logging thread (a daemon job
-            # finishing while the process tears down); drop, don't die
+            # the stream can be closed under us (a swapped-in stream
+            # torn down before a late record); drop, don't die
             pass
 
     def emit_at(self, level: int, event: str, **fields: Any) -> None:

@@ -83,24 +83,6 @@ class ResultCache:
         self.hits += 1
         return payload
 
-    def peek(self, spec: JobSpec) -> bool:
-        """True when ``spec`` would hit, without touching the hit/miss
-        counters — the read-only probe the incremental sweep planner
-        uses to classify cells before anything runs."""
-        path = self.path_for(spec)
-        try:
-            with open(path) as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
-            return False
-        payload = entry.get("payload") if isinstance(entry, dict) else None
-        return (
-            isinstance(payload, dict)
-            and "kind" in payload
-            and "data" in payload
-            and entry.get("spec") == spec.canonical()
-        )
-
     def put(self, spec: JobSpec, payload: Dict[str, Any]) -> None:
         path = self.path_for(spec)
         os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -335,8 +335,7 @@ class DrainSignal:
     escape hatch when the drain itself hangs.
 
     Outside the main thread (where ``signal.signal`` is unavailable) the
-    trap degrades to an inert flag, so service-mode job threads can share
-    the same pause plumbing.
+    trap degrades to an inert flag that is never set.
     """
 
     def __init__(self, signals: Sequence[int] = (signal.SIGINT, signal.SIGTERM)) -> None:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 if TYPE_CHECKING:
-    # the experiment package imports the runner, so the runner reads
-    # RunConfig lazily (see from_canonical)
+    # the experiment package imports the runner, so the runner names
+    # RunConfig only for type checking
     from repro.exp.server import RunConfig
 
 #: job kinds the executor knows how to run
@@ -122,30 +122,6 @@ class JobSpec:
             trace=trace,
             params=_freeze_params(params),
         )
-
-    @classmethod
-    def from_canonical(cls, data: Dict[str, Any]) -> "JobSpec":
-        """Inverse of :meth:`canonical` — the wire format the serve
-        daemon accepts sweep cells in (``spec.canonical()`` round-trips
-        to an equal spec with the identical content hash)."""
-        from repro.exp.server import RunConfig
-
-        try:
-            params = tuple(
-                (str(key), value) for key, value in data.get("params", [])
-            )
-            return cls(
-                op=data["op"],
-                config=RunConfig(**data["config"]),
-                kind=data.get("kind"),
-                function=data.get("function"),
-                rate_gbps=data.get("rate_gbps"),
-                trace=data.get("trace"),
-                name=data.get("name"),
-                params=params,
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ValueError(f"not a canonical job spec: {error}") from error
 
     # -- identity -------------------------------------------------------
 

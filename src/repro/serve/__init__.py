@@ -1,20 +1,16 @@
-"""Service mode: checkpoint/restore, the ``repro serve`` daemon, and
-incremental sweep planning.
+"""Fabric checkpoint/restore: pause a run at an epoch barrier and
+resume it in a fresh process with a byte-identical final payload.
 
-The package splits along the simulation/wall-clock boundary:
+Every module here produces or replays simulation state, so the whole
+package is simulation domain:
 
 * :mod:`repro.serve.snapshot` — the versioned, integrity-checked
-  checkpoint container (pure data, simulation domain);
+  checkpoint container (pure data);
 * :mod:`repro.serve.state` — per-shard state walkers that snapshot a
   :class:`~repro.fabric.shard.RackShard` at an epoch barrier and
-  restore it into a freshly built shard (simulation domain);
+  restore it into a freshly built shard;
 * :mod:`repro.serve.checkpoint` — the resumable fabric-experiment
-  driver: pause at a barrier, persist, resume in a fresh process with a
-  byte-identical final payload (simulation domain);
-* :mod:`repro.serve.planner` — incremental sweep planning over the
-  content-addressed result cache (simulation domain);
-* :mod:`repro.serve.daemon` / :mod:`repro.serve.client` — the local
-  HTTP job service (wall-clock zone: real sockets, threads and files).
+  driver behind ``repro fabric --checkpoint/--resume/--pause-at-epoch``.
 """
 
 from repro.serve.snapshot import (

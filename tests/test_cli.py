@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -276,6 +278,45 @@ class TestFabricCheckpointFlags:
         rc = main(["fabric", "--resume", ckpt, "--shard-jobs", "2",
                    "--out", str(resumed)])
         assert rc == 0
+        assert resumed.read_text() == baseline.read_text()
+
+    def test_journal_continues_across_resume(self, tmp_path, capsys):
+        journal = str(tmp_path / "run.jsonl")
+        ckpt = str(tmp_path / "ck.json")
+        baseline = tmp_path / "base.txt"
+        assert main(self.ARGS + ["--out", str(baseline)]) == 0
+        rc = main(self.ARGS + ["--journal", journal, "--checkpoint", ckpt,
+                               "--pause-at-epoch", "2"])
+        assert rc == 3
+        resumed = tmp_path / "resumed.txt"
+        rc = main(["fabric", "--resume", ckpt, "--journal", journal,
+                   "--out", str(resumed)])
+        assert rc == 0
+        capsys.readouterr()
+
+        with open(journal) as fh:
+            records = [json.loads(line) for line in fh]
+        kinds = [r["kind"] for r in records]
+        cut = kinds.index("interrupt") + 1
+        paused, appended = records[:cut], records[cut:]
+        # the paused run's meta, its epochs and its interrupt record ...
+        assert kinds[:cut] == ["meta", "epoch", "epoch", "interrupt"]
+        assert paused[-1]["resumable"] is True
+        # ... then the resumed run appends its own meta, the later
+        # epochs and a finish, with no second interrupt
+        label = paused[0]["label"]
+        assert "interrupt" not in kinds[cut:]
+        finish = kinds.index("finish", cut) - cut
+        assert appended[0]["label"] == appended[finish]["label"] == label
+        later = kinds[cut + 1:cut + finish]
+        assert kinds[cut:cut + finish + 1] == ["meta"] + later + ["finish"]
+        assert set(later) == {"epoch"}
+        # the resumed epochs continue the paused ones: no gap, no repeat
+        epochs = [
+            r["epoch"] for r in paused + appended[:finish]
+            if r["kind"] == "epoch"
+        ]
+        assert epochs == list(range(paused[0]["epochs"]))
         assert resumed.read_text() == baseline.read_text()
 
     def test_pause_without_checkpoint_is_usage_error(self, capsys):

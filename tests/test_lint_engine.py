@@ -229,7 +229,7 @@ class TestCliAndDiscovery:
         out = capsys.readouterr().out
         for rule_id in (
             "DET01", "DET02", "DET03", "DET04", "MUT01", "OBS01", "UNIT01",
-            "SNAP01", "THR01", "THR02", "BAR01",
+            "SNAP01", "BAR01",
         ):
             assert rule_id in out
 
@@ -252,7 +252,7 @@ class TestCliAndDiscovery:
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"DET01", "SNAP01", "THR01", "BAR01"} <= rule_ids
+        assert {"DET01", "SNAP01", "BAR01"} <= rule_ids
         result = run["results"][0]
         assert result["ruleId"] == "DET01"
         location = result["locations"][0]["physicalLocation"]
@@ -278,7 +278,7 @@ class TestCliAndDiscovery:
         assert lint_main(["src", "--format=json", "--no-baseline"]) == 1
         payload = json.loads(capsys.readouterr().out)
         # the ratchet check keys off this list to prove family coverage
-        assert {"DET04", "SNAP01", "THR01", "THR02", "BAR01"} <= set(
+        assert {"DET04", "SNAP01", "BAR01"} <= set(
             payload["rules"]
         )
         assert payload["schema"] == 2

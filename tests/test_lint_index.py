@@ -37,7 +37,6 @@ class TestNormalizeType:
 
 class TestClassSummary:
     SRC = """
-    import threading
     from collections import deque
 
     class Station:
@@ -46,7 +45,6 @@ class TestClassSummary:
         def __init__(self, name):
             self.name = name
             self.backlog = 0
-            self._lock = threading.RLock()
             self._ring = deque()
 
         def advance(self):
@@ -59,7 +57,7 @@ class TestClassSummary:
 
     def test_attr_inventory_and_mutability(self):
         cls = summarize(self.SRC).classes["Station"]
-        assert set(cls.attrs) == {"kind", "name", "backlog", "_lock", "_ring"}
+        assert set(cls.attrs) == {"kind", "name", "backlog", "_ring"}
         assert cls.attrs["backlog"].mutable          # += outside __init__
         assert cls.attrs["_ring"].mutable            # mutator .append()
         assert not cls.attrs["name"].mutable         # init-only
@@ -71,10 +69,6 @@ class TestClassSummary:
         line = cls.attrs["backlog"].line
         assert "self.backlog = name" not in src_lines[line - 1]
         assert "self.backlog" in src_lines[line - 1]
-
-    def test_lock_attr_detected(self):
-        cls = summarize(self.SRC).classes["Station"]
-        assert list(cls.lock_attrs) == ["_lock"]
 
     def test_frozen_dataclass_flag(self):
         src = """
@@ -125,51 +119,6 @@ class TestFunctionSummary:
         assert ("jobs", "write") in kinds
         assert ("order", "write") in kinds
         assert ("jobs", "read") in kinds  # .get() is a read
-
-    def test_with_lock_context_recorded(self):
-        summary = summarize(
-            """
-            class T:
-                def m(self):
-                    with self._lock:
-                        self.jobs["a"] = 1
-                    self.jobs["b"] = 2
-            """
-        )
-        fn = summary.functions["T.m"]
-        writes = [a for a in fn.accesses if a.attr == "jobs" and a.kind == "write"]
-        assert sorted(a.locks for a in writes) == [(), ("self._lock",)]
-
-    def test_closure_body_loses_lock_context(self):
-        # a closure defined under the lock runs later, without it
-        summary = summarize(
-            """
-            class T:
-                def m(self):
-                    with self._lock:
-                        def cb():
-                            self.jobs["a"] = 1
-                        return cb
-            """
-        )
-        fn = summary.functions["T.m"]
-        write = [a for a in fn.accesses if a.attr == "jobs"][0]
-        assert write.locks == ()
-
-    def test_thread_targets_direct_and_via_local(self):
-        summary = summarize(
-            """
-            import threading
-
-            class T:
-                def go(self, fast):
-                    target = self._run_a if fast else self._run_b
-                    threading.Thread(target=target).start()
-                    threading.Thread(target=self._shutdown, daemon=True).start()
-            """
-        )
-        fn = summary.functions["T.go"]
-        assert set(fn.thread_targets) == {"_run_a", "_run_b", "_shutdown"}
 
     def test_typed_local_from_constructor(self):
         summary = summarize(
@@ -257,18 +206,14 @@ class TestSymbolIndex:
     def test_summaries_are_picklable(self):
         summary = summarize(
             """
-            import threading
-
             class T:
                 def __init__(self):
-                    self._lock = threading.Lock()
                     self.n = 0
 
                 def bump(self):
-                    with self._lock:
-                        self.n += 1
+                    self.n += 1
             """
         )
         clone = pickle.loads(pickle.dumps(summary))
-        assert clone.classes["T"].lock_attrs == {"_lock": 6}
+        assert clone.classes["T"].attrs["n"].mutable
         assert clone.functions["T.bump"].accesses

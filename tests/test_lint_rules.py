@@ -120,6 +120,19 @@ class TestDet01WallClock:
         """
         assert rules_of(src, BENCH) == ["DET01"]
 
+    def test_serve_package_is_sim_domain(self):
+        # every serve module produces or replays checkpointed simulation
+        # state, the package __init__ included
+        src = """
+        from time import perf_counter
+
+        def stamp():
+            return perf_counter()
+        """
+        for module in ("__init__", "snapshot", "state", "checkpoint"):
+            path = f"src/repro/serve/{module}.py"
+            assert rules_of(src, path) == ["DET01"]
+
     def test_outside_repro_not_flagged(self):
         src = """
         import time

@@ -35,14 +35,14 @@ def test_baseline_not_stale():
 
 
 def test_project_rule_debt_is_zero_everywhere():
-    """The cross-module families (SNAP01/THR01/THR02/BAR01) and DET04
+    """The cross-module families (SNAP01/BAR01) and DET04
     launched with the tree already clean — their exemptions live inline
     with stated reasons, so none of them may ever appear in the
     baseline.  An empty-baseline self-lint under just these rules is
     the strongest form of the guarantee."""
     from repro.lint.rules import RULES_BY_ID
 
-    rules = [RULES_BY_ID[r] for r in ("DET04", "SNAP01", "THR01", "THR02", "BAR01")]
+    rules = [RULES_BY_ID[r] for r in ("DET04", "SNAP01", "BAR01")]
     findings = lint_paths(
         [str(REPO_ROOT / "src")], root=str(REPO_ROOT), rules=rules
     )
@@ -52,7 +52,7 @@ def test_project_rule_debt_is_zero_everywhere():
     baselined = {
         path: {r: n for r, n in by_rule.items() if r in RULES_BY_ID}
         for path, by_rule in baseline.items()
-        if any(r in ("DET04", "SNAP01", "THR01", "THR02", "BAR01") for r in by_rule)
+        if any(r in ("DET04", "SNAP01", "BAR01") for r in by_rule)
     }
     assert baselined == {}, "new-family debt may not be baselined"
 

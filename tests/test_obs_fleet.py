@@ -285,7 +285,8 @@ class TestJournal:
 
     def test_interrupt_then_resumed_run_renders_both(self):
         """An interrupt block followed by the resumed run's records is
-        exactly what the serve daemon's appended journal looks like."""
+        exactly what ``repro fabric --resume`` appends to the paused
+        run's journal."""
         records = [
             {"kind": "meta", "label": "hal", "racks": 1, "epochs": 5,
              "epoch_s": 0.02},
