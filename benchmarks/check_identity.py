@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI identity gate: untraced runs must stay bit-identical.
+"""Identity gate: untraced runs must stay bit-identical.
 
 Usage: python benchmarks/check_identity.py [--baseline benchmarks/baseline.json]
 
@@ -10,7 +10,9 @@ and so does a pin with no cell, so the table and the baseline cannot
 drift apart.  This is the observability subsystem's hard invariant: with
 the default NullTracer, simulated results — and therefore runner cache
 keys — are byte-for-byte what they were before telemetry existed.  It
-needs no timing run, so it is cheap enough to run on every push.
+needs no timing run, so it is cheap enough to run by hand after any
+simulator change; in CI the same pins are checked once, by tier-1
+``tests/test_pins.py::test_every_pinned_cell_matches_its_pin``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@
 One function, one system kind, one workload → one :class:`RunMetrics`.
 Everything the per-figure experiment modules need funnels through here so
 durations, batching, and seeds stay consistent across the whole
-evaluation.
+evaluation.  :func:`run_at_rate` and :func:`run_trace` describe a cell as
+a :class:`~repro.runner.JobSpec` and submit it to the ambient runner,
+whose executor simulates it with :func:`simulate_cell`: every cell is
+cached and counted the same way, whichever experiment asks for it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.core import PLATFORMS, SYSTEM_CLASSES, PlatformSystem, ServerSystem
+from repro.core.static import platform_stage
 from repro.flow.source import ConstantRateSource, TraceRateSource
 from repro.flow.system import (
     FLOW_SYSTEM_CLASSES,
@@ -24,6 +28,7 @@ from repro.net.traffic import (
     LogNormalTraceGenerator,
     TrafficSpec,
 )
+from repro.runner import JobSpec, current_runner
 from repro.sim.metrics import RunMetrics
 
 #: event-granularity modes: per-packet ground truth vs fluid fast path
@@ -105,6 +110,47 @@ def build_system(
     return table[kind](function, **common)
 
 
+def simulate_cell(spec: JobSpec) -> RunMetrics:
+    """Simulate one ``at_rate`` or ``trace`` cell in-process: the body the
+    runner's executor calls for both ops.  Flow mode draws a trace's rate
+    schedule from the same RNG streams as the packet-mode generator."""
+    config = spec.config
+    trace = None
+    if spec.op == "trace":
+        if spec.trace not in META_TRACES:
+            raise ValueError(
+                f"unknown trace {spec.trace!r}; known: {sorted(META_TRACES)}"
+            )
+        trace = META_TRACES[spec.trace]
+    system = build_system(spec.kind, spec.function, config, **dict(spec.params))
+    traffic = config.spec(spec.rate_gbps if trace is None else trace.average_gbps * 3)
+    if config.sim_mode == "flow":
+        source = (
+            ConstantRateSource(spec.rate_gbps)
+            if trace is None
+            else TraceRateSource(
+                spec.trace,
+                system.rng,
+                system.plan,
+                traffic,
+                trace_interval_s=config.trace_interval_s,
+            )
+        )
+        return system.run(source, config.duration_s, train_multiplicity=traffic.batch)
+    generator = (
+        ConstantRateGenerator(system.plan, traffic, system.rng, spec.rate_gbps)
+        if trace is None
+        else LogNormalTraceGenerator(
+            system.plan,
+            traffic,
+            system.rng,
+            trace,
+            interval_s=config.trace_interval_s,
+        )
+    )
+    return system.run(generator, config.duration_s)
+
+
 def run_at_rate(
     kind: str,
     function: str,
@@ -112,14 +158,11 @@ def run_at_rate(
     config: RunConfig = DEFAULT_CONFIG,
     **kwargs,
 ) -> RunMetrics:
-    """One constant-rate run (the Fig. 2/4/5/9 workhorse)."""
-    system = build_system(kind, function, config, **kwargs)
-    spec = config.spec(rate_gbps)
-    if config.sim_mode == "flow":
-        source = ConstantRateSource(rate_gbps)
-        return system.run(source, config.duration_s, train_multiplicity=spec.batch)
-    generator = ConstantRateGenerator(system.plan, spec, system.rng, rate_gbps)
-    return system.run(generator, config.duration_s)
+    """One constant-rate cell (the Fig. 2/4/5/9 workhorse), run by the
+    ambient runner so it is cached like every other cell."""
+    return current_runner().run_one(
+        JobSpec.at_rate(kind, function, rate_gbps, config, **kwargs)
+    )
 
 
 def run_trace(
@@ -129,30 +172,20 @@ def run_trace(
     config: RunConfig = DEFAULT_CONFIG,
     **kwargs,
 ) -> RunMetrics:
-    """One datacenter-trace run (the Table V workhorse).  Flow mode draws
-    the rate schedule from the same RNG streams as the packet-mode
-    generator for this spec."""
-    if trace not in META_TRACES:
-        raise ValueError(f"unknown trace {trace!r}; known: {sorted(META_TRACES)}")
-    system = build_system(kind, function, config, **kwargs)
-    spec = config.spec(META_TRACES[trace].average_gbps * 3)
-    if config.sim_mode == "flow":
-        source = TraceRateSource(
-            trace,
-            system.rng,
-            system.plan,
-            spec,
-            trace_interval_s=config.trace_interval_s,
-        )
-        return system.run(source, config.duration_s, train_multiplicity=spec.batch)
-    generator = LogNormalTraceGenerator(
-        system.plan,
-        spec,
-        system.rng,
-        META_TRACES[trace],
-        interval_s=config.trace_interval_s,
+    """One datacenter-trace cell (the Table V workhorse), run by the
+    ambient runner."""
+    return current_runner().run_one(
+        JobSpec.for_trace(kind, function, trace, config, **kwargs)
     )
-    return system.run(generator, config.duration_s)
+
+
+def engine_capacity_gbps(kind: str, function: str) -> float:
+    """Nominal capacity of the one engine a search brackets ``kind``
+    around: a platform kind's own stage, BlueField-2 for the SNIC-only
+    kind, and the Skylake host for the host-only and cooperative kinds."""
+    if kind not in PLATFORMS:
+        kind = "bf2" if kind == "snic" else "skylake"
+    return platform_stage(function, kind)[0].capacity_gbps
 
 
 def measure_base_p99_us(
@@ -164,12 +197,7 @@ def measure_base_p99_us(
 ) -> float:
     """p99 at a low (10% of capacity) rate — the latency floor used as
     the SLO reference (§III-C)."""
-    from repro.hw.profiles import get_profile
-
-    profile = get_profile(function)
     if capacity_gbps is None:
-        capacity_gbps = (
-            profile.snic.capacity_gbps if kind == "snic" else profile.host.capacity_gbps
-        )
+        capacity_gbps = engine_capacity_gbps(kind, function)
     rate = max(0.02, capacity_gbps * low_rate_fraction)
     return run_at_rate(kind, function, rate, config).p99_latency_us

@@ -9,6 +9,11 @@ Three searches recur through the evaluation:
   drop rate;
 * :func:`find_slo_throughput` — Table II's "SLO TP": the highest rate at
   which p99 stays within a factor of the low-load latency floor.
+
+Every probe is an ordinary cell on the ambient runner:
+:func:`rate_sweep` submits its rates as one batch, and the searches
+submit one probe at a time through :func:`repro.exp.server.run_at_rate`.
+Both searches bracket on :func:`repro.exp.server.engine_capacity_gbps`.
 """
 
 from __future__ import annotations
@@ -20,25 +25,13 @@ from repro.exp.server import (
     DEFAULT_CONFIG,
     RunConfig,
     auto_batch,
+    engine_capacity_gbps,
     measure_base_p99_us,
+    run_at_rate,
 )
-from repro.hw.profiles import LINE_RATE_GBPS, bf3_profile, get_profile, spr_profile
+from repro.hw.profiles import LINE_RATE_GBPS
 from repro.runner import JobSpec, current_runner
 from repro.sim.metrics import RunMetrics
-
-
-def run_at_rate(
-    kind: str,
-    function: str,
-    rate_gbps: float,
-    config: RunConfig = DEFAULT_CONFIG,
-    **kwargs,
-) -> RunMetrics:
-    """One constant-rate run, routed through the ambient runner so search
-    probes hit the result cache when one is active."""
-    return current_runner().run_one(
-        JobSpec.at_rate(kind, function, rate_gbps, config, **kwargs)
-    )
 
 
 @dataclass
@@ -86,22 +79,13 @@ def find_max_throughput(
     rate: a probe "passes" when fewer than ``max_drop_rate`` of offered
     packets are lost.
     """
-    profile = get_profile(function)
-    if kind in ("snic", "bf2"):
-        engine = profile.snic
-    elif kind == "bf3":
-        engine = bf3_profile(function)
-    elif kind == "spr":
-        engine = spr_profile(function)
-    else:
-        engine = profile.host
-    config = _pin_batch(config, min(hi_gbps, engine.capacity_gbps))
+    cap = engine_capacity_gbps(kind, function)
+    config = _pin_batch(config, min(hi_gbps, cap))
     # bracket around the engine's nominal capacity so the bisection
     # resolves 0.1-Gbps functions as well as line-rate ones; cooperative
     # systems (HAL/SLB) can exceed a single engine, so keep the full range
-    cap = engine.capacity_gbps
     if kind in ("hal", "slb", "host-slb"):
-        cap = profile.host.capacity_gbps + profile.snic.capacity_gbps
+        cap += engine_capacity_gbps("snic", function)
     hi = min(hi_gbps, max(cap * 1.3, 0.1))
     lo = min(0.02, hi / 10)
     best_rate, best_metrics = lo, None
@@ -145,8 +129,7 @@ def find_slo_throughput(
 ) -> Tuple[float, RunMetrics]:
     """Table II's SLO throughput: the highest rate where p99 stays within
     ``latency_factor`` of the low-load floor and (almost) nothing drops."""
-    profile = get_profile(function)
-    cap = profile.snic.capacity_gbps if kind == "snic" else profile.host.capacity_gbps
+    cap = engine_capacity_gbps(kind, function)
     config = _pin_batch(config, cap)
     if base_p99_us is None:
         base_p99_us = measure_base_p99_us(kind, function, config)

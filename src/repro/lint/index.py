@@ -137,7 +137,6 @@ class ClassSummary:
     module: ModuleParts
     path: str
     line: int
-    is_dataclass: bool = False
     frozen: bool = False
     attrs: Dict[str, AttrDef] = field(default_factory=dict)
 
@@ -367,27 +366,24 @@ def _summarize_function(
     )
 
 
-def _dataclass_flags(node: ast.ClassDef) -> Tuple[bool, bool]:
-    is_dataclass = False
-    frozen = False
+def _frozen_dataclass(node: ast.ClassDef) -> bool:
     for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if not isinstance(decorator, ast.Call):
+            continue
+        target = decorator.func
         name = None
         if isinstance(target, ast.Name):
             name = target.id
         elif isinstance(target, ast.Attribute):
             name = target.attr
-        if name == "dataclass":
-            is_dataclass = True
-            if isinstance(decorator, ast.Call):
-                for keyword in decorator.keywords:
-                    if (
-                        keyword.arg == "frozen"
-                        and isinstance(keyword.value, ast.Constant)
-                        and keyword.value.value is True
-                    ):
-                        frozen = True
-    return is_dataclass, frozen
+        if name == "dataclass" and any(
+            keyword.arg == "frozen"
+            and isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is True
+            for keyword in decorator.keywords
+        ):
+            return True
+    return False
 
 
 def _summarize_class(
@@ -395,14 +391,12 @@ def _summarize_class(
     module: ModuleParts,
     path: str,
 ) -> Tuple[ClassSummary, List[FunctionSummary]]:
-    is_dataclass, frozen = _dataclass_flags(node)
     summary = ClassSummary(
         name=node.name,
         module=module,
         path=path,
         line=node.lineno,
-        is_dataclass=is_dataclass,
-        frozen=frozen,
+        frozen=_frozen_dataclass(node),
     )
     methods: List[FunctionSummary] = []
     attrs: Dict[str, AttrDef] = {}

@@ -31,7 +31,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: bump to invalidate caches across payload-format changes
 PAYLOAD_VERSION = 1
 
-#: per-root file recording the last batch's hit/miss counts
+#: per-root file recording the last run's hit/miss counts
 STATS_FILE = "stats.json"
 
 
@@ -123,7 +123,8 @@ class ResultCache:
         return entries
 
     def stats(self) -> Dict[str, Any]:
-        """Cache-wide stats plus the last recorded batch's hit rate.
+        """Cache-wide stats plus the last recorded run's hit rate
+        (``last_batch``).
 
         ``stale_entries`` counts results keyed by an old code salt —
         still on disk, but unreachable until a GC sweeps them."""
@@ -145,8 +146,8 @@ class ResultCache:
             pass
         return out
 
-    def record_batch(self, jobs: int, cached: int, executed: int) -> None:
-        """Persist the last batch's hit/miss counts next to the entries,
+    def record_run(self, jobs: int, cached: int, executed: int) -> None:
+        """Persist a run's hit/miss counts so far next to the entries,
         so ``repro cache`` can report a hit rate without re-running."""
         if jobs <= 0:
             return

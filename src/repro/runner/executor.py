@@ -51,24 +51,19 @@ def _compute(spec: JobSpec) -> Dict[str, Any]:
     global EXECUTION_COUNT
     # imported lazily, like every experiment-side import here: the
     # experiment package imports the runner
-    from repro.exp.server import run_at_rate, run_trace
+    from repro.exp.server import simulate_cell
 
     EXECUTION_COUNT += 1
-    params = dict(spec.params)
-    if spec.op == "at_rate":
-        return metrics_payload(
-            run_at_rate(spec.kind, spec.function, spec.rate_gbps, spec.config, **params)
-        )
-    if spec.op == "trace":
-        return metrics_payload(
-            run_trace(spec.kind, spec.function, spec.trace, spec.config, **params)
-        )
+    if spec.op in ("at_rate", "trace"):
+        return metrics_payload(simulate_cell(spec))
     if spec.op == "rack":
         # imported lazily: the cluster layer pulls in every system kind
         from repro.cluster import run_rack
 
         return metrics_payload(
-            run_rack(spec.kind, spec.function, spec.trace, spec.config, **params)
+            run_rack(
+                spec.kind, spec.function, spec.trace, spec.config, **dict(spec.params)
+            )
         )
     if spec.op == "experiment":
         # imported lazily: experiments → fig modules → sweeps → runner

@@ -7,12 +7,14 @@ flows through the same pipeline:
 
     cache get? → execute (with retries) → cache put → outcome
 
-Failed jobs are retried ``retries`` times and then *recorded*, not
-propagated mid-batch: sibling jobs always run to completion.  With
-``strict=True`` (the default for experiment code that has no use for a
-partial sweep) the batch raises :class:`RunnerError` at the end; batch
-drivers like ``exp.artifact`` pass ``strict=False`` and render the
-failures in their report instead.
+Failed jobs of a batch are retried ``retries`` times and then
+*recorded*, not propagated mid-batch: sibling jobs always run to
+completion.  With ``strict=True`` (the default for experiment code that
+has no use for a partial sweep) the batch raises :class:`RunnerError` at
+the end; batch drivers like ``exp.artifact`` pass ``strict=False`` and
+render the failures in their report instead.  A single cell submitted
+with :meth:`Runner.run_one` has no siblings: it is neither retried nor
+wrapped, so its own exception reaches the caller unchanged.
 """
 
 from __future__ import annotations
@@ -114,11 +116,18 @@ class Runner:
         self.progress = progress
         self._done = 0
         self._total = 0
+        #: jobs, cached and executed over every batch this runner ran:
+        #: the whole run, as the cache's stats file records it
+        self._counts = (0, 0, 0)
 
     # -- public API -----------------------------------------------------
 
-    def run(self, specs: Sequence[JobSpec], strict: bool = True) -> BatchReport:
-        """Execute a batch; outcomes are ordered like ``specs``."""
+    def run(
+        self, specs: Sequence[JobSpec], strict: bool = True, *, raises: bool = False
+    ) -> BatchReport:
+        """Execute a batch; outcomes are ordered like ``specs``.  With
+        ``raises`` (:meth:`run_one`'s mode) an in-process job's own
+        exception propagates at once, without a retry."""
         started = time.time()
         report = BatchReport(outcomes=[JobOutcome(spec=s) for s in specs])
         self._done, self._total = 0, len(specs)
@@ -134,17 +143,17 @@ class Runner:
                 pending.append(index)
 
         if self.jobs <= 1 or len(pending) <= 1:
-            self._run_sequential(report, specs, pending)
+            self._run_sequential(report, specs, pending, raises)
         else:
             self._run_pool(report, specs, pending)
 
         report.wall_s = time.time() - started
+        batch = (len(specs), report.cached_count, report.executed_count)
+        self._counts = tuple(a + b for a, b in zip(self._counts, batch))
         if self.cache is not None:
             # persisted next to the entries so `repro cache` can report
-            # the last run's hit rate after the process is gone
-            self.cache.record_batch(
-                len(specs), report.cached_count, report.executed_count
-            )
+            # the run's hit rate after the process is gone
+            self.cache.record_run(*self._counts)
         if strict and report.failures:
             first = report.failures[0]
             raise RunnerError(
@@ -159,8 +168,9 @@ class Runner:
         return self.run(specs, strict=True).results()
 
     def run_one(self, spec: JobSpec) -> Any:
-        """Run a single job (always in-process) and decode its result."""
-        return self.run([spec], strict=True).outcomes[0].decoded()
+        """Run a single job in-process and decode its result; the job's
+        own exception propagates unchanged, without a retry."""
+        return self.run([spec], raises=True).outcomes[0].decoded()
 
     # -- execution paths ------------------------------------------------
 
@@ -169,7 +179,11 @@ class Runner:
         return self.cache.root if self.cache else None
 
     def _run_sequential(
-        self, report: BatchReport, specs: Sequence[JobSpec], pending: List[int]
+        self,
+        report: BatchReport,
+        specs: Sequence[JobSpec],
+        pending: List[int],
+        raises: bool,
     ) -> None:
         for index in pending:
             outcome = report.outcomes[index]
@@ -181,6 +195,8 @@ class Runner:
                     outcome.error = None
                     break
                 except Exception:
+                    if raises:
+                        raise
                     outcome.error = traceback.format_exc()
             outcome.wall_s = time.time() - started
             self._store(outcome)

@@ -84,7 +84,6 @@ class TestClassSummary:
         """
         summary = summarize(src)
         assert summary.classes["Config"].frozen
-        assert summary.classes["Config"].is_dataclass
         assert not summary.classes["Mutable"].frozen
 
 

@@ -11,7 +11,8 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.exp.experiments import run_experiment, run_experiment_via
-from repro.exp.server import RunConfig
+from repro.exp import fig3, validation
+from repro.exp.server import RunConfig, run_at_rate
 from repro.exp.sweeps import rate_sweep
 from repro.runner import (
     JobSpec,
@@ -188,6 +189,14 @@ class TestFailureHandling:
             runner.run(specs, strict=True)
         assert len(err.value.failures) == 1
 
+    def test_run_one_passes_the_cells_own_error(self):
+        # a single cell has no siblings to protect: no retry, no wrapper
+        executed = executor.EXECUTION_COUNT
+        spec = JobSpec.at_rate("tpu", "nat", 10.0, FAST)
+        with pytest.raises(ValueError, match="unknown system kind 'tpu'"):
+            Runner(jobs=1, retries=2).run_one(spec)
+        assert executor.EXECUTION_COUNT == executed + 1
+
     def test_failed_job_retried(self):
         spec = JobSpec.at_rate("tpu", "nat", 10.0, FAST)
         report = Runner(jobs=1, retries=2).run([spec], strict=False)
@@ -321,6 +330,20 @@ class TestCacheMaintenance:
         Runner(jobs=1, cache=cache).run(sweep_specs())
         assert cache.stats()["last_batch"]["hit_rate"] == 1.0
 
+    def test_last_run_counts_every_job_of_the_runner(self, tmp_path):
+        # a batch, a cached single cell and an executed one: the record
+        # is the runner's whole run, not its final one-job batch
+        cache = ResultCache(str(tmp_path))
+        runner = Runner(jobs=1, cache=cache)
+        runner.map_metrics(sweep_specs())
+        with use_runner(runner):
+            run_at_rate("host", "rem", RATES[0], FAST)
+            run_at_rate("host", "rem", 10.0, FAST)
+        last = cache.stats()["last_batch"]
+        assert (last["jobs"], last["cached"], last["executed"]) == (
+            len(RATES) + 2, 1, len(RATES) + 1
+        )
+
     def test_gc_by_age(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         Runner(jobs=1, cache=cache).run(sweep_specs())
@@ -354,3 +377,27 @@ class TestCacheMaintenance:
         assert cache.stats()["stale_entries"] == 0
         assert not (tmp_path / "0123456789abcdef").exists()  # dir pruned
         assert cache.stats()["entries"] == len(RATES)  # live tier kept
+
+
+class TestEveryCellGoesThroughTheRunner:
+    def test_warm_cache_rerun_builds_no_system(self, tmp_path, monkeypatch):
+        # every cell of these experiments is a runner job, so a warm cache
+        # answers all of them and a rerun never builds a server
+        config = RunConfig(duration_s=0.005)
+
+        def payloads():
+            runner = Runner(jobs=1, cache=ResultCache(str(tmp_path)))
+            with use_runner(runner):
+                results = [
+                    fig3.run(config, functions=("nat", "kvs")),
+                    validation.run(config),
+                ]
+            return json.dumps([r.to_dict() for r in results], sort_keys=True)
+
+        first = payloads()
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a cell was simulated beside the runner")
+
+        monkeypatch.setattr("repro.exp.server.build_system", no_build)
+        assert payloads() == first
