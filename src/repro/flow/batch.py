@@ -23,8 +23,8 @@ class FlowBatch:
     A plain ``__slots__`` value object, not a dataclass: every server
     builds up to three per interval, so construction stays one checked
     ``__init__`` with no per-field ``object.__setattr__``.  Treat a batch
-    as immutable; :meth:`split`, :meth:`steer` and :meth:`forwarded`
-    return new ones."""
+    as immutable: :meth:`split` and :meth:`forwarded` return new ones, and
+    :meth:`steer` may hand back the batch itself as its kept part."""
 
     __slots__ = ("start_s", "duration_s", "rate_gbps", "packet_bytes")
 
@@ -77,7 +77,13 @@ class FlowBatch:
         """``(kept, excess)``: a ``Fwd_Th`` rate split applied to the whole
         train, keeping min(rate, threshold) and passing on the rest."""
         rate = self.rate_gbps
-        kept = 1.0 if rate <= threshold_gbps else threshold_gbps / rate
+        if rate <= threshold_gbps:
+            # the whole train stays: ``split(1.0)`` would rebuild an equal
+            # train (``r * 1.0 == r``) and ``split(0.0)`` an empty one
+            return self, FlowBatch(
+                self.start_s, self.duration_s, 0.0, self.packet_bytes
+            )
+        kept = threshold_gbps / rate
         return self.split(kept), self.split(1.0 - kept)
 
     def forwarded(self, served_packets: float) -> "FlowBatch":

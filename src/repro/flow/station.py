@@ -33,7 +33,10 @@ samples straight into a list the caller owns, returns only the served
 and dropped packet counts, and spells each ``min``/``max`` as the
 comparison the builtin makes (``min(a, b)`` is ``b`` only if ``b < a``,
 ``max(a, b)`` is ``b`` only if ``b > a``), so every float, tie and type
-is the one the builtins would give.
+is the one the builtins would give.  Most stations of a packed rack or
+fabric are idle in most intervals (a zero-rate train, an empty backlog,
+no wake in progress); that case skips the fluid update and sets the
+same floats the full expansion would, through the same idle tail.
 """
 
 from __future__ import annotations
@@ -203,6 +206,20 @@ class FlowStation:
         latency floors agree.
         """
         dt = batch.duration_s
+        if (
+            batch.rate_gbps == 0.0
+            and self.backlog_packets == 0.0
+            and self._wake_remaining_s == 0.0
+        ):
+            # idle: nothing arrives, nothing is queued and no wake is in
+            # progress, so nothing is served, dropped or ramped; only the
+            # rate EWMA decays (its ``+ delivered · (1 - decay)`` term
+            # adds an exact 0.0) and the shim state reads empty
+            self._rate_bps_ewma *= math.exp(-dt / RATE_TAU_S)
+            self.backlog_packets = self._last_busy_fraction = 0.0
+            self._rings[0].occupancy_packets = 0
+            self._end_interval(dt, True)
+            return 0.0, 0.0
         packet_bits = batch.packet_bytes * 8
         arriving = batch.rate_gbps * 1e9 * dt / packet_bits
         cores = self.active_cores
@@ -298,8 +315,14 @@ class FlowStation:
         self._last_busy_fraction = busy if busy < 1.0 else 1.0
         self._rings[0].occupancy_packets = int(backlog_1 / cores + 0.5)
 
-        # idle → sleep (engine parks cores after sleep_after_idle_s)
-        if arriving <= 0 and served <= 0 and backlog_1 <= 0:
+        self._end_interval(dt, arriving <= 0 and served <= 0 and backlog_1 <= 0)
+        return served, dropped
+
+    def _end_interval(self, dt: float, idle: bool) -> None:
+        """The tail of every :meth:`advance`: count an ``idle`` interval
+        toward sleep (the engine parks cores after ``sleep_after_idle_s``),
+        then notify the power callback once."""
+        if idle:
             self._idle_s += dt
             if (
                 self.sleep_enabled
@@ -310,5 +333,4 @@ class FlowStation:
         on_power_change = self.on_power_change
         if on_power_change is not None:
             on_power_change(self)
-        return served, dropped
 

@@ -148,7 +148,9 @@ class ResultCache:
 
     def record_run(self, jobs: int, cached: int, executed: int) -> None:
         """Persist a run's hit/miss counts so far next to the entries,
-        so ``repro cache`` can report a hit rate without re-running."""
+        so ``repro cache`` can report a hit rate without re-running.
+        A nested runner records its own share first; the parent's record,
+        which includes it, overwrites it when the parent's batch ends."""
         if jobs <= 0:
             return
         os.makedirs(self.root, exist_ok=True)
@@ -158,8 +160,10 @@ class ResultCache:
             "executed": executed,
             "hit_rate": cached / jobs,
         }
-        tmp = os.path.join(self.root, STATS_FILE + ".tmp")
-        with open(tmp, "w") as fh:
+        # a temp file of its own: the nested runners of concurrent pool
+        # workers record into the same root
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-", suffix=".stats")
+        with os.fdopen(fd, "w") as fh:
             json.dump(record, fh)
         os.replace(tmp, os.path.join(self.root, STATS_FILE))
 

@@ -3,19 +3,22 @@
 :func:`execute_job` is a module-level function (so it pickles cleanly
 for ``ProcessPoolExecutor``) mapping a :class:`JobSpec` to a JSON-safe
 payload dict ``{"kind": "metrics"|"experiment", "data": ...}``.  The
-same function backs the sequential path, so parallel and sequential
-execution share one code path and one result format.
+runner calls it as :func:`execute_counted` on both its sequential and
+its pool path, so parallel and sequential execution share one code path
+and one result format.
 
 ``experiment`` jobs install a *sequential* cache-backed runner inside
 the worker: the nested per-run jobs the experiment fans out then
 populate the same cache at run granularity, which is what lets an
-interrupted ``artifact`` batch resume mid-experiment.
+interrupted ``artifact`` batch resume mid-experiment.  The nested
+runner's job counts travel back with the payload
+(:func:`execute_counted`), so the parent's record counts every cell.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.log import get_logger
 from repro.runner.spec import JobSpec
@@ -81,6 +84,15 @@ def execute_job(spec: JobSpec, cache_dir: Optional[str] = None) -> Dict[str, Any
     cache; the top-level get/put for ``spec`` itself is the parent
     runner's responsibility.
     """
+    return execute_counted(spec, cache_dir)[0]
+
+
+def execute_counted(
+    spec: JobSpec, cache_dir: Optional[str] = None
+) -> Tuple[Dict[str, Any], Tuple[int, int, int]]:
+    """:func:`execute_job`, plus the ``(jobs, cached, executed)`` counts
+    of the nested runs the job went through (zeros for a cell that fans
+    nothing out), so the parent runner's record counts every cell."""
     from repro.runner.cache import ResultCache
     from repro.runner.context import use_runner
     from repro.runner.runner import Runner
@@ -88,4 +100,5 @@ def execute_job(spec: JobSpec, cache_dir: Optional[str] = None) -> Dict[str, Any
     log.debug("execute", worker=os.getpid(), spec=spec.label(), op=spec.op)
     inner = Runner(jobs=1, cache=ResultCache(cache_dir) if cache_dir else None)
     with use_runner(inner):
-        return _compute(spec)
+        payload = _compute(spec)
+    return payload, inner.counts

@@ -24,11 +24,11 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.log import get_logger
 from repro.runner.cache import ResultCache
-from repro.runner.executor import decode_payload, execute_job
+from repro.runner.executor import decode_payload, execute_counted
 from repro.runner.spec import JobSpec
 
 log = get_logger("runner")
@@ -116,9 +116,10 @@ class Runner:
         self.progress = progress
         self._done = 0
         self._total = 0
-        #: jobs, cached and executed over every batch this runner ran:
-        #: the whole run, as the cache's stats file records it
-        self._counts = (0, 0, 0)
+        #: jobs, cached and executed over every batch this runner ran,
+        #: and over the nested runs of its jobs: the whole run, as the
+        #: cache's stats file records it
+        self.counts: Tuple[int, int, int] = (0, 0, 0)
 
     # -- public API -----------------------------------------------------
 
@@ -148,12 +149,11 @@ class Runner:
             self._run_pool(report, specs, pending)
 
         report.wall_s = time.time() - started
-        batch = (len(specs), report.cached_count, report.executed_count)
-        self._counts = tuple(a + b for a, b in zip(self._counts, batch))
+        self._count((len(specs), report.cached_count, report.executed_count))
         if self.cache is not None:
             # persisted next to the entries so `repro cache` can report
             # the run's hit rate after the process is gone
-            self.cache.record_run(*self._counts)
+            self.cache.record_run(*self.counts)
         if strict and report.failures:
             first = report.failures[0]
             raise RunnerError(
@@ -191,8 +191,11 @@ class Runner:
             for attempt in range(self.retries + 1):
                 outcome.attempts = attempt + 1
                 try:
-                    outcome.payload = execute_job(specs[index], self._cache_dir)
+                    outcome.payload, nested = execute_counted(
+                        specs[index], self._cache_dir
+                    )
                     outcome.error = None
+                    self._count(nested)
                     break
                 except Exception:
                     if raises:
@@ -209,7 +212,7 @@ class Runner:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             submitted = {}
             for index in pending:
-                future = pool.submit(execute_job, specs[index], self._cache_dir)
+                future = pool.submit(execute_counted, specs[index], self._cache_dir)
                 report.outcomes[index].attempts = 1
                 submitted[future] = (index, time.time())
             while submitted:
@@ -220,10 +223,14 @@ class Runner:
                     outcome.wall_s += time.time() - started
                     error = future.exception()
                     if error is None:
-                        outcome.payload, outcome.error = future.result(), None
+                        outcome.payload, nested = future.result()
+                        outcome.error = None
+                        self._count(nested)
                     elif outcome.attempts <= self.retries:
                         # retry in a fresh worker slot
-                        retry = pool.submit(execute_job, specs[index], self._cache_dir)
+                        retry = pool.submit(
+                            execute_counted, specs[index], self._cache_dir
+                        )
                         outcome.attempts += 1
                         submitted[retry] = (index, time.time())
                         continue
@@ -237,6 +244,10 @@ class Runner:
                     self._note(outcome)
 
     # -- bookkeeping ----------------------------------------------------
+
+    def _count(self, counts: Tuple[int, int, int]) -> None:
+        jobs, cached, executed = self.counts
+        self.counts = (jobs + counts[0], cached + counts[1], executed + counts[2])
 
     def _store(self, outcome: JobOutcome) -> None:
         if self.cache and outcome.ok:

@@ -259,6 +259,18 @@ class TestClusterFlags:
         assert "roundrobin" in out
         assert out_file.read_text().strip()
 
+    def test_flow_mode_cluster_run(self, capsys):
+        rc = main(
+            ["cluster", "--servers", "2", "--policy", "packing",
+             "--trace", "web", "--duration", "0.05", "--sim-mode", "flow"]
+        )
+        assert rc == 0
+        rows = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.split()[:3] == ["2", "packing", "web"]
+        ]
+        assert [row[3] for row in rows] == ["hal", "host", "slb"]
+
 
 class TestFabricCheckpointFlags:
     ARGS = ["fabric", "--racks", "2", "--servers", "2", "--duration", "0.1"]

@@ -8,6 +8,19 @@ from repro.exp.validation import _verdict, run as run_validation
 
 FAST = RunConfig(duration_s=0.05)
 
+#: the nine headline claims ``validation`` checks
+HEADLINE_CLAIMS = (
+    "NAT SNIC SLO throughput (Gbps)",
+    "NAT SNIC/host EE at SLO",
+    "SNIC NAT max throughput (Gbps)",
+    "HAL NAT throughput at 80 Gbps",
+    "HAL p99 / SNIC p99 at 80 Gbps (lower is better)",
+    "HAL power / host power at 80 Gbps",
+    "system power, SNIC-only at low rate (W)",
+    "system power, host-only floor (W)",
+    "HAL/host EE on hadoop trace (NAT)",
+)
+
 
 class TestDvfsExperiment:
     def test_savings_all_under_two_percent(self):
@@ -50,6 +63,14 @@ class TestValidationSweep:
         result = run_validation(RunConfig(duration_s=0.1))
         verdicts = [row["verdict"] for row in result.rows]
         assert verdicts.count("OK") >= len(verdicts) - 1
+
+    def test_each_headline_claim_ok(self):
+        """Every claim, by name, reads OK: a claim that drifts out of its
+        tolerance fails here even while the slack above absorbs it."""
+        result = run_validation(RunConfig(duration_s=0.1))
+        verdicts = {row["claim"]: row["verdict"] for row in result.rows}
+        assert sorted(verdicts) == sorted(HEADLINE_CLAIMS)
+        assert {claim: v for claim, v in verdicts.items() if v != "OK"} == {}
 
     def test_rows_cover_key_claims(self):
         result = run_validation(RunConfig(duration_s=0.05))

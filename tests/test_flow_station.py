@@ -49,6 +49,23 @@ class TestFlowBatch:
         with pytest.raises(ValueError):
             batch.split(1.5)
 
+    @pytest.mark.parametrize(
+        "rate, threshold",
+        [(0.0, 12.5), (0.0, 0.0), (12.5, 12.5), (40.0, 12.5), (41.3, 17.9)],
+    )
+    def test_steer_matches_split(self, rate, threshold):
+        """``steer`` is the ``split`` pair it names, float for float:
+        an empty train, an exact tie at the threshold, and a rate above
+        it."""
+        batch = make_batch(rate, start_s=0.25)
+        kept = 1.0 if rate <= threshold else threshold / rate
+        steered = batch.steer(threshold)
+        for got, want in zip(steered, (batch.split(kept), batch.split(1.0 - kept))):
+            assert float.hex(got.rate_gbps) == float.hex(want.rate_gbps)
+            assert (got.start_s, got.duration_s, got.packet_bytes) == (
+                want.start_s, want.duration_s, want.packet_bytes
+            )
+
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             make_batch(-1.0)
@@ -336,30 +353,96 @@ def _walked(station):
     ]
 
 
+#: an idle-heavy sequence: idle from cold past ``sleep_after_idle_s`` at
+#: 100 µs and at 1 ms, a train that wakes a sleeping station (the kvs
+#: host's 1.5 ms wake spans intervals) followed by zero trains during the
+#: wake, and an overload backlog that zero trains drain to exactly 0.0
+IDLE_SEQUENCE = (
+    [(0.0, 1500, 100e-6, 1, 0.0)] * 4
+    + [(0.5, 1500, 100e-6, 1, 0.0)]
+    + [(0.0, 1500, 100e-6, 1, 0.0)] * 18
+    + [(250.0, 1500, 100e-6, 1, HLB_LATENCY_S)] * 2
+    + [(0.0, 1500, 100e-6, 1, 0.0)] * 12
+    + [(0.0, 64, 1e-3, 1, 0.0)] * 3
+    + [(2.0, 64, 1e-3, 32, HLB_LATENCY_S)]
+    + [(0.0, 64, 1e-3, 1, 0.0)] * 3
+)
+
+
+def _idle_stations():
+    """The reference stations with sleep enabled and disabled."""
+    stations = {}
+    for kind, build in _reference_stations().items():
+        for sleep in (True, False):
+            def built(power, build=build, sleep=sleep):
+                station = build(power)
+                station.sleep_enabled = sleep
+                return station
+
+            stations[f"{kind} sleep={sleep}"] = built
+    return stations
+
+
+def _assert_matches_reference(build, sequence):
+    new_power, old_power = [], []
+    new = build(lambda st: new_power.append((st.sleeping, st.utilization)))
+    old = build(lambda st: old_power.append((st.sleeping, st.utilization)))
+    new_samples, old_samples = [], []
+    start_s = 0.0
+    for step, (rate, size, dt, mult, extra) in enumerate(sequence):
+        batch = FlowBatch(start_s, dt, rate, size)
+        start_s += dt
+        got = new.advance(batch, new_samples, mult, extra)
+        want = reference_advance(old, batch, old_samples, mult, extra)
+        assert got == want, step
+        assert [type(v) for v in got] == [type(v) for v in want], step
+        assert _walked(new) == _walked(old), step
+        assert new_samples == old_samples, step
+        assert new_power == old_power, step
+        assert len(new_power) == step + 1  # one notification per advance
+        assert new.rx_queue_occupancy() == max(
+            ring.occupancy_packets for ring in old._rings
+        )
+    assert new_samples  # the sequence served something
+
+
 class TestAdvanceMatchesReference:
     @pytest.mark.parametrize("kind", sorted(_reference_stations()))
     def test_bit_identical_to_reference(self, kind):
-        build = _reference_stations()[kind]
-        new_power, old_power = [], []
-        new = build(lambda st: new_power.append((st.sleeping, st.utilization)))
-        old = build(lambda st: old_power.append((st.sleeping, st.utilization)))
-        new_samples, old_samples = [], []
-        start_s = 0.0
-        for step, (rate, size, dt, mult, extra) in enumerate(REFERENCE_SEQUENCE):
-            batch = FlowBatch(start_s, dt, rate, size)
-            start_s += dt
-            got = new.advance(batch, new_samples, mult, extra)
-            want = reference_advance(old, batch, old_samples, mult, extra)
-            assert got == want, step
-            assert [type(v) for v in got] == [type(v) for v in want], step
-            assert _walked(new) == _walked(old), step
-            assert new_samples == old_samples, step
-            assert new_power == old_power, step
-            assert len(new_power) == step + 1  # one notification per advance
-            assert new.rx_queue_occupancy() == max(
-                ring.occupancy_packets for ring in old._rings
-            )
-        assert new_samples  # the sequence served something
+        _assert_matches_reference(_reference_stations()[kind], REFERENCE_SEQUENCE)
+
+    @pytest.mark.parametrize("kind", sorted(_idle_stations()))
+    def test_idle_sequence_bit_identical_to_reference(self, kind):
+        _assert_matches_reference(_idle_stations()[kind], IDLE_SEQUENCE)
+
+    def test_idle_sequence_covers_each_regime(self):
+        """The idle sequence takes the idle branch and also reaches each
+        zero-train case that must stay on the full expansion."""
+        fast = waking = draining = drained = slept = stayed_awake = False
+        for kind, build in _idle_stations().items():
+            station = build(None)
+            start_s = 0.0
+            for rate, size, dt, mult, extra in IDLE_SEQUENCE:
+                backlog = station.backlog_packets
+                wake = station._wake_remaining_s
+                fast |= rate == 0.0 and backlog == 0.0 and wake == 0.0
+                waking |= rate == 0.0 and wake > 0.0
+                station.advance(FlowBatch(start_s, dt, rate, size), [], mult, extra)
+                start_s += dt
+                if rate == 0.0 and backlog > 0.0:
+                    draining = True
+                    drained |= (
+                        station.backlog_packets == 0.0
+                        and type(station.backlog_packets) is float
+                    )
+                if station.sleep_enabled:
+                    slept |= station.sleeping
+                else:
+                    stayed_awake |= (
+                        station._idle_s >= station.sleep_after_idle_s
+                        and not station.sleeping
+                    )
+        assert fast and waking and draining and drained and slept and stayed_awake
 
     def test_sequence_covers_each_regime(self):
         """The sequence reaches every regime the identity test must see."""

@@ -344,6 +344,37 @@ class TestCacheMaintenance:
             len(RATES) + 2, 1, len(RATES) + 1
         )
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_last_run_counts_the_cells_inside_experiment_jobs(self, tmp_path, jobs):
+        # an artifact batch runs experiment jobs whose cells go through
+        # nested runners; the record counts those cells too, so it
+        # agrees with the entries the run left behind
+        from repro.exp.artifact import run_all
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        run_all(
+            "counts",
+            results_dir=str(tmp_path / "results"),
+            experiments=["fig3", "validation"],
+            config=RunConfig(duration_s=0.005),
+            runner=Runner(jobs=jobs, cache=cache),
+        )
+        stats = cache.stats()
+        last = stats["last_batch"]
+        assert stats["entries"] > 2
+        assert (last["jobs"], last["cached"], last["executed"]) == (
+            stats["entries"], 0, stats["entries"]
+        )
+        run_all(
+            "counts",
+            results_dir=str(tmp_path / "results"),
+            experiments=["fig3", "validation"],
+            config=RunConfig(duration_s=0.005),
+            runner=Runner(jobs=jobs, cache=cache),
+        )
+        last = cache.stats()["last_batch"]
+        assert (last["jobs"], last["cached"], last["executed"]) == (2, 2, 0)
+
     def test_gc_by_age(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         Runner(jobs=1, cache=cache).run(sweep_specs())
