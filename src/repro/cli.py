@@ -773,8 +773,8 @@ def run_cache_mode(argv: List[str]) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "lint":
-        # `hal-repro lint [paths...]` has its own flag set (baselines,
-        # --format=json, --select); hand the rest of the line to it
+        # `hal-repro lint [paths...]` has its own flag set (--select,
+        # --explain, --list-rules); hand the rest of the line to it
         from repro.lint.cli import main as lint_main
 
         return lint_main(argv[1:])

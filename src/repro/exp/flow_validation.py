@@ -5,15 +5,11 @@ and a small rack) through **both** simulation modes via the ambient
 runner and checks that throughput, p50/p99 latency and energy per
 request agree within the tolerances declared in
 :mod:`repro.flow.validate`.  On top of the agreement sweep the gate
-re-verifies two side conditions:
-
-* packet mode stayed the identity-hashed ground truth — the fig5 and
-  rack rows of :func:`repro.bench.pinned_cells` still match their pins
-  in ``benchmarks/baseline.json``;
-* the flow fast path keeps its event-rate headroom — ≥ 20 simulated
-  wire packets per simulator event relative to packet mode at equal
-  offered load, measured on one fixed SLB cell run in both modes
-  (:func:`check_event_headroom`).
+checks that the flow fast path keeps its event-rate headroom — ≥ 20
+simulated wire packets per simulator event relative to packet mode at
+equal offered load, measured on one fixed SLB cell run in both modes
+(:func:`check_event_headroom`).  Packet-mode payload identity is checked
+once, against the pins, by the tier-1 suite (``tests/test_pins.py``).
 
 The grid deliberately avoids cells whose forward stage sits exactly at
 the critical point ρ=1.0 and cells dominated by fluctuation-driven LBP
@@ -24,12 +20,10 @@ modes").
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from repro.exp.server import RunConfig, build_system
+from repro.exp.server import RunConfig, build_system, drive_system
 from repro.flow.validate import (
     DEFAULT_TOLERANCES,
     ValidationReport,
@@ -156,48 +150,6 @@ def run_validation(
     return report
 
 
-def check_packet_identity(
-    report: ValidationReport, baseline_path: Optional[str] = None
-) -> bool:
-    """Packet-mode ground truth must stay byte-identical to the
-    committed baseline: the fig5 and rack rows of
-    :func:`repro.bench.pinned_cells`, whose every row
-    benchmarks/check_identity.py checks."""
-    from repro.bench import flatten_pins, pinned_cells
-
-    if baseline_path is None:
-        baseline_path = str(
-            pathlib.Path(__file__).resolve().parents[3]
-            / "benchmarks"
-            / "baseline.json"
-        )
-    path = pathlib.Path(baseline_path)
-    if not path.exists():
-        report.add_note(f"identity: SKIPPED (no baseline at {baseline_path})")
-        return True
-    pins = flatten_pins(json.loads(path.read_text())["identity"])
-    ok = True
-    for cell in pinned_cells():
-        if cell.label not in ("fig5", "rack"):
-            continue
-        if cell.key not in pins:
-            report.add_note(f"identity: FAIL — no {cell.label} pin in {path}")
-            ok = False
-            continue
-        expected, current = pins[cell.key], cell.sha256()
-        if current == expected:
-            report.add_note(
-                f"identity: {cell.label} payload sha OK ({current[:12]}…)"
-            )
-        else:
-            report.add_note(
-                f"identity: FAIL — {cell.label} packet payload sha moved "
-                f"(baseline {expected[:12]}…, current {current[:12]}…)"
-            )
-            ok = False
-    return ok
-
-
 def check_event_headroom(report: ValidationReport) -> bool:
     """Flow mode must carry ≥ 20x the wire packets per simulator event.
 
@@ -206,27 +158,19 @@ def check_event_headroom(report: ValidationReport) -> bool:
     load, wire packets per event in flow mode over the same ratio in
     packet mode is the packet run's event count over the flow run's.
     """
-    from repro.flow.source import ConstantRateSource
-    from repro.net.traffic import ConstantRateGenerator
-
-    rate_gbps, duration_s = 80.0, 0.05
-    kwargs = dict(fwd_threshold_gbps=20.0, slb_cores=4)
-    config = RunConfig(duration_s=duration_s, seed=2024)
-    system = build_system("slb", "nat", config, **kwargs)
-    system.run(
-        ConstantRateGenerator(
-            system.plan, config.spec(rate_gbps), system.rng, rate_gbps
-        ),
-        duration_s,
-    )
-    flow_config = replace(config, sim_mode="flow")
-    flow_system = build_system("slb", "nat", flow_config, **kwargs)
-    flow_system.run(
-        ConstantRateSource(rate_gbps),
-        duration_s,
-        train_multiplicity=flow_config.spec(rate_gbps).batch,
-    )
-    headroom = system.sim.events_processed / flow_system.sim.events_processed
+    events: Dict[str, int] = {}
+    for mode in ("packet", "flow"):
+        spec = JobSpec.at_rate(
+            "slb", "nat", 80.0,
+            RunConfig(duration_s=0.05, seed=2024, sim_mode=mode),
+            fwd_threshold_gbps=20.0, slb_cores=4,
+        )
+        system = build_system(
+            spec.kind, spec.function, spec.config, **dict(spec.params)
+        )
+        drive_system(system, spec)
+        events[mode] = system.sim.events_processed
+    headroom = events["packet"] / events["flow"]
     ok = headroom >= MIN_EVENT_HEADROOM_X
     report.add_note(
         f"event headroom: {headroom:.1f}x (floor {MIN_EVENT_HEADROOM_X:.0f}x)"
@@ -238,15 +182,10 @@ def check_event_headroom(report: ValidationReport) -> bool:
 def validate_flow(
     grid: str = "smoke",
     config: Optional[RunConfig] = None,
-    baseline_path: Optional[str] = None,
-    skip_side_checks: bool = False,
 ) -> Tuple[ValidationReport, bool]:
-    """The full gate: agreement sweep + identity + headroom."""
+    """The full gate: agreement sweep + event headroom."""
     report = run_validation(grid, config)
-    ok = report.passed
-    if not skip_side_checks:
-        ok = check_packet_identity(report, baseline_path) and ok
-        ok = check_event_headroom(report) and ok
+    ok = check_event_headroom(report) and report.passed
     return report, ok
 
 
@@ -258,7 +197,6 @@ __all__ = [
     "SMOKE_CELLS",
     "FULL_CELLS",
     "run_validation",
-    "check_packet_identity",
     "check_event_headroom",
     "validate_flow",
 ]

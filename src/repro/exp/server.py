@@ -112,8 +112,20 @@ def build_system(
 
 def simulate_cell(spec: JobSpec) -> RunMetrics:
     """Simulate one ``at_rate`` or ``trace`` cell in-process: the body the
-    runner's executor calls for both ops.  Flow mode draws a trace's rate
-    schedule from the same RNG streams as the packet-mode generator."""
+    runner's executor calls for both ops."""
+    system = build_system(
+        spec.kind, spec.function, spec.config, **dict(spec.params)
+    )
+    return drive_system(system, spec)
+
+
+def drive_system(
+    system: Union[ServerSystem, FlowServerSystem], spec: JobSpec
+) -> RunMetrics:
+    """Run a built ``system`` under the traffic of an ``at_rate`` or
+    ``trace`` spec: a packet generator in packet mode, a rate source in
+    flow mode.  Flow mode draws a trace's rate schedule from the same RNG
+    streams as the packet-mode generator."""
     config = spec.config
     trace = None
     if spec.op == "trace":
@@ -122,7 +134,6 @@ def simulate_cell(spec: JobSpec) -> RunMetrics:
                 f"unknown trace {spec.trace!r}; known: {sorted(META_TRACES)}"
             )
         trace = META_TRACES[spec.trace]
-    system = build_system(spec.kind, spec.function, config, **dict(spec.params))
     traffic = config.spec(spec.rate_gbps if trace is None else trace.average_gbps * 3)
     if config.sim_mode == "flow":
         source = (

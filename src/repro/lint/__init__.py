@@ -6,9 +6,8 @@ the "untraced runs are bit-identical" obs contract, the byte-identical
 checkpoint/resume promise, and the crc32-salted RNG spawn tree — holds
 only while the code never leaks nondeterminism.  :mod:`repro.lint`
 turns those rules from code comments into an enforced analysis: a
-**two-phase engine** whose phase 1 runs per-file AST rules (and can
-fan out over ``--jobs`` processes), and whose phase 2 merges per-file
-symbol summaries into a project-wide
+**two-phase engine** whose phase 1 runs per-file AST rules, and whose
+phase 2 merges per-file symbol summaries into a project-wide
 :class:`~repro.lint.index.SymbolIndex` for the cross-module rules.
 
 ========  ==========================================================
@@ -39,13 +38,12 @@ BAR01     fabric fleet-control state only accessed from epoch-barrier
           hooks (lockstep cross-rack determinism)  [project]
 ========  ==========================================================
 
-Run it as ``hal-repro lint [paths]`` or ``python -m repro.lint``;
-``--explain RULE-ID`` prints a rule's long-form rationale, ``--format
-sarif``/``github`` emit machine formats for CI.  Suppress a deliberate
-exception inline with ``# lint: disable=RULE-ID`` (always pair it with
-a justification — for project rules, at the line the finding points
-at), and ratchet existing debt with the committed
-``lint_baseline.json`` (see :mod:`repro.lint.baseline`).
+Run it as ``hal-repro lint [paths]`` or ``python -m repro.lint``: it
+prints ``file:line:col RULE-ID message`` per finding and exits 0 when
+clean, 1 on findings, 2 on a usage error.  ``--explain RULE-ID`` prints
+a rule's long-form rationale.  The only way to carry a deliberate
+exception is inline, ``# lint: disable=RULE-ID reason`` (for project
+rules, at the line the finding points at).
 """
 
 from repro.lint.engine import (

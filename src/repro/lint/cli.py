@@ -1,31 +1,22 @@
 """``hal-repro lint`` / ``python -m repro.lint`` command line.
 
-Exit codes follow the canonical table in EXPERIMENTS.md: 0 — clean
-(modulo the baseline); 1 — findings (or, with ``--strict-stale``, a
-stale baseline); 2 — usage error (unknown rule id, missing path,
-unknown ``--explain`` target).
+Lints the given paths and prints one ``file:line:col RULE-ID message``
+line per finding.  A deliberate exception is carried inline with
+``# lint: disable=RULE-ID reason``; there is no other way to excuse a
+finding.  Exit codes follow the canonical table in EXPERIMENTS.md:
+0 — clean; 1 — findings; 2 — usage error (unknown rule id, missing
+path, unknown ``--explain`` target).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_PATH,
-    compare_to_baseline,
-    count_findings,
-    load_baseline,
-    save_baseline,
-)
-from repro.lint.engine import Finding, Rule, lint_paths
+from repro.lint.engine import Rule, lint_paths
 from repro.lint.rules import ALL_RULES, RULES_BY_ID
-
-#: advertised in SARIF output so viewers can link back to the docs
-_INFO_URI = "https://github.com/hal-repro/hal-repro/blob/main/docs/ARCHITECTURE.md"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,36 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif", "github"), default="text",
-        help="output format: json is what benchmarks/check_lint_ratchet.py "
-        "consumes, sarif uploads as a CI artifact, github prints workflow "
-        "::error annotations",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"ratchet baseline (default: {DEFAULT_BASELINE_PATH} when it "
-        "exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring any baseline",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--strict-stale", action="store_true",
-        help="also fail when the baseline over-counts (forces it to shrink)",
-    )
-    parser.add_argument(
         "--select", default=None, metavar="RULES",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan per-file analysis out over N processes (0 = one per CPU; "
-        "default 1 = in-process; output is identical either way)",
     )
     parser.add_argument(
         "--explain", default=None, metavar="RULE-ID",
@@ -81,99 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule ids and one-line summaries, then exit",
     )
     return parser
-
-
-def _emit_text(findings: List[Finding], comparison_notes: List[str]) -> None:
-    for finding in findings:
-        print(finding.render())
-    for note in comparison_notes:
-        print(f"note: {note}", file=sys.stderr)
-
-
-def _emit_json(
-    all_findings: List[Finding],
-    new_findings: List[Finding],
-    rules: Sequence[Rule],
-) -> None:
-    payload = {
-        "schema": 2,
-        "rules": sorted(rule.rule_id for rule in rules),
-        "findings": [f.to_dict() for f in all_findings],
-        "new_findings": [f.to_dict() for f in new_findings],
-        "counts": count_findings(all_findings),
-    }
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
-def _emit_sarif(findings: List[Finding], rules: Sequence[Rule]) -> None:
-    """SARIF 2.1.0, the exchange format GitHub code scanning ingests."""
-    payload = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": _INFO_URI,
-                        "rules": [
-                            {
-                                "id": rule.rule_id,
-                                "shortDescription": {"text": rule.summary},
-                                "fullDescription": {"text": rule.explain()},
-                            }
-                            for rule in rules
-                        ],
-                    }
-                },
-                "results": [
-                    {
-                        "ruleId": finding.rule,
-                        "level": "error",
-                        "message": {"text": finding.message},
-                        "locations": [
-                            {
-                                "physicalLocation": {
-                                    "artifactLocation": {"uri": finding.path},
-                                    "region": {
-                                        "startLine": finding.line,
-                                        "startColumn": finding.col,
-                                    },
-                                }
-                            }
-                        ],
-                    }
-                    for finding in findings
-                ],
-            }
-        ],
-    }
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
-def _annotation_escape(text: str, properties: bool = False) -> str:
-    """GitHub workflow-command escaping (%, CR, LF; , and : in props)."""
-    text = text.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
-    if properties:
-        text = text.replace(":", "%3A").replace(",", "%2C")
-    return text
-
-
-def _emit_github(findings: List[Finding]) -> None:
-    """``::error`` workflow commands: annotations on the PR diff."""
-    for finding in findings:
-        print(
-            "::error "
-            f"file={_annotation_escape(finding.path, properties=True)},"
-            f"line={finding.line},col={finding.col},"
-            f"title={_annotation_escape(finding.rule, properties=True)}"
-            f"::{_annotation_escape(finding.message)}"
-        )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -211,46 +81,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"no such path: {missing}", file=sys.stderr)
         return 2
 
-    findings = lint_paths(args.paths, rules=rules, jobs=args.jobs)
-
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(DEFAULT_BASELINE_PATH):
-        baseline_path = DEFAULT_BASELINE_PATH
-
-    if args.update_baseline:
-        target = baseline_path or DEFAULT_BASELINE_PATH
-        counts = save_baseline(target, findings)
-        total = sum(sum(rules.values()) for rules in counts.values())
-        print(f"wrote {target}: {total} baselined finding(s)", file=sys.stderr)
-        return 0
-
-    notes: List[str] = []
-    if args.no_baseline or baseline_path is None:
-        new_findings = findings
-    else:
-        comparison = compare_to_baseline(findings, load_baseline(baseline_path))
-        new_findings = comparison.new_findings
-        notes.extend(comparison.stale)
-
-    active = list(ALL_RULES) if rules is None else rules
-    if args.format == "json":
-        _emit_json(findings, new_findings, active)
-    elif args.format == "sarif":
-        _emit_sarif(new_findings, active)
-    elif args.format == "github":
-        _emit_github(new_findings)
-    else:
-        _emit_text(new_findings, notes)
-        if new_findings:
-            print(
-                f"{len(new_findings)} new finding(s); suppress a justified "
-                "exception with `# lint: disable=RULE-ID` or fix the code",
-                file=sys.stderr,
-            )
-
-    if new_findings:
-        return 1
-    if args.strict_stale and notes:
+    findings = lint_paths(args.paths, rules=rules)
+    for finding in findings:
+        print(finding.render())
+    if findings:
+        print(
+            f"{len(findings)} finding(s); suppress a justified exception "
+            "with `# lint: disable=RULE-ID reason` or fix the code",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

@@ -5,16 +5,15 @@ parsing, mapping paths onto the repo's package domains (sim-domain vs
 allowlisted wall-clock zones), collecting ``# lint: disable=RULE-ID``
 comments, and filtering findings through them.
 
-Since PR 10 the run is **two-phase**.  Phase 1 visits every file once:
-it runs the per-file rules (each receives a :class:`FileContext`) and
-summarises the file into a picklable
-:class:`~repro.lint.index.ModuleSummary` — so phase 1 can fan out over
-a process pool (``--jobs``).  Phase 2 merges the summaries into a
-:class:`~repro.lint.index.SymbolIndex` and runs the *project* rules
-(:class:`ProjectRule`), which see the whole tree at once: snapshot
-completeness and the barrier protocol.  A project finding is
-filtered through the suppression map of the file it *points at*, so an
-exemption lives next to the field or access it excuses.
+The run is **two-phase**.  Phase 1 visits every file once: it runs
+the per-file rules (each receives a :class:`FileContext`) and
+summarises the file into an AST-free
+:class:`~repro.lint.index.ModuleSummary`.  Phase 2 merges the
+summaries into a :class:`~repro.lint.index.SymbolIndex` and runs the
+*project* rules (:class:`ProjectRule`), which see the whole tree at
+once: snapshot completeness and the barrier protocol.  A project
+finding is filtered through the suppression map of the file it *points
+at*, so an exemption lives next to the field or access it excuses.
 """
 
 from __future__ import annotations
@@ -238,13 +237,13 @@ def _is_suppressed(finding: Finding, suppressions: Dict[int, Set[str]]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# phase 1: per-file analysis (parallelisable)
+# phase 1: per-file analysis
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class FileAnalysis:
-    """Everything phase 1 learns about one file — picklable, AST-free."""
+    """Everything phase 1 learns about one file — AST-free."""
 
     path: str
     #: per-file rule findings, already suppression-filtered
@@ -296,14 +295,6 @@ def _read_and_analyze(
         source = handle.read()
     rel = os.path.relpath(path, root).replace(os.sep, "/")
     return analyze_source(source, rel, per_file_rules)
-
-
-def _analyze_one(task: Tuple[str, str, Tuple[str, ...]]) -> FileAnalysis:
-    """Pool worker: (file path, root, per-file rule ids) -> analysis."""
-    path, root, rule_ids = task
-    from repro.lint.rules import RULES_BY_ID
-
-    return _read_and_analyze(path, root, [RULES_BY_ID[r] for r in rule_ids])
 
 
 # ---------------------------------------------------------------------------
@@ -391,39 +382,12 @@ def lint_paths(
     paths: Sequence[str],
     root: str = ".",
     rules: Optional[Sequence[Rule]] = None,
-    jobs: int = 1,
 ) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directories).
-
-    ``jobs > 1`` fans phase 1 (parse + per-file rules + summarise) out
-    over a process pool; phase 2 always runs in-process on the merged
-    index, whose inputs are byte-identical either way — parallel output
-    equals sequential output, the same contract the runner pool keeps.
-    ``jobs=0`` means one worker per CPU.
-    """
+    """Lint every ``.py`` file under ``paths`` (files or directories)."""
     per_file, project = _split_rules(rules)
-    files = discover_files(paths)
-    from repro.lint.rules import RULES_BY_ID
-
-    # the pool ships rule *ids* (cheap, picklable) and rebuilds the rule
-    # objects in the worker; ad-hoc rule instances that are not in the
-    # registry (test doubles) fall back to in-process analysis
-    poolable = all(
-        RULES_BY_ID.get(r.rule_id) is r for r in per_file
-    )
-    if jobs == 1 or len(files) < 2 or not poolable:
-        analyses = [
-            _read_and_analyze(path, root, per_file) for path in files
-        ]
-    else:
-        import multiprocessing
-
-        tasks = [
-            (path, root, tuple(r.rule_id for r in per_file)) for path in files
-        ]
-        workers = jobs if jobs > 0 else (os.cpu_count() or 1)
-        with multiprocessing.Pool(min(workers, len(files))) as pool:
-            analyses = pool.map(_analyze_one, tasks)
+    analyses = [
+        _read_and_analyze(path, root, per_file) for path in discover_files(paths)
+    ]
     findings: List[Finding] = []
     for analysis in analyses:
         findings.extend(analysis.findings)

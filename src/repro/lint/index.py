@@ -11,8 +11,7 @@ parsed file and produces a :class:`ModuleSummary` — classes with their
 attribute inventories (definition site, mutated-outside-``__init__``
 evidence), functions with parameter annotations, attribute accesses
 (read/write/call) and intraclass call edges.  Everything in a summary
-is picklable plain data, so phase 1 can fan out over a process pool
-(``--jobs``).  The summaries merge into a :class:`SymbolIndex`, which
+is plain data.  The summaries merge into a :class:`SymbolIndex`, which
 phase-2 project rules query; no AST survives into phase 2.
 
 The index is an over-approximation on the same terms as the rules: it

@@ -12,6 +12,7 @@ from repro.exp.flow_validation import (
     GRIDS,
     SMOKE_CELLS,
     Cell,
+    check_event_headroom,
     run_validation,
 )
 from repro.exp.server import RunConfig
@@ -148,3 +149,10 @@ class TestGrid:
     def test_tolerances_cover_all_observables(self):
         assert set(DEFAULT_TOLERANCES) == set(observables(RunMetrics()))
         assert set(ABSOLUTE_FLOORS) == set(DEFAULT_TOLERANCES)
+
+
+class TestEventHeadroom:
+    def test_headroom_note_and_pass(self):
+        report = ValidationReport("x")
+        assert check_event_headroom(report)
+        assert report.notes == ["event headroom: 41.0x (floor 20x)"]

@@ -1,87 +1,50 @@
-"""Self-lint: the repo's own source must be clean modulo the baseline.
+"""Self-lint: the repo's own source must lint clean.
 
-This is the in-suite mirror of the CI ``static-analysis`` job — it
-fails the moment anyone reintroduces the bug classes the linter exists
-for (wall clock in the sim domain, randomized hash, shared mutable
-defaults, unguarded tracer emission), without waiting for the bench
-identity gates to catch the symptom after the fact.
+This is the one gate for the lint-clean fact — it fails the moment
+anyone reintroduces the bug classes the linter exists for (wall clock
+in the sim domain, randomized hash, shared mutable defaults, unguarded
+tracer emission), without waiting for the bench identity gates to catch
+the symptom after the fact.  ``src`` is linted once per session; each
+test filters that run's findings by rule id.
 """
 
 import pathlib
 
+import pytest
+
 from repro.lint import lint_paths
-from repro.lint.baseline import compare_to_baseline, load_baseline
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
-BASELINE = REPO_ROOT / "lint_baseline.json"
 
 
-def test_src_tree_clean_modulo_baseline():
-    findings = lint_paths([str(REPO_ROOT / "src")], root=str(REPO_ROOT))
-    baseline = load_baseline(str(BASELINE))
-    comparison = compare_to_baseline(findings, baseline)
-    rendered = "\n".join(f.render() for f in comparison.new_findings)
-    assert comparison.clean, (
-        f"new lint findings not covered by lint_baseline.json:\n{rendered}"
-    )
+@pytest.fixture(scope="module")
+def src_findings():
+    return lint_paths([str(REPO_ROOT / "src")], root=str(REPO_ROOT))
 
 
-def test_baseline_not_stale():
-    """Fixed debt must be ratcheted out of the baseline immediately."""
-    findings = lint_paths([str(REPO_ROOT / "src")], root=str(REPO_ROOT))
-    baseline = load_baseline(str(BASELINE))
-    comparison = compare_to_baseline(findings, baseline)
-    assert comparison.ratchet_ok, "\n".join(comparison.stale)
+def _of_rules(findings, rule_ids):
+    return [f for f in findings if f.rule in rule_ids]
 
 
-def test_project_rule_debt_is_zero_everywhere():
-    """The cross-module families (SNAP01/BAR01) and DET04
-    launched with the tree already clean — their exemptions live inline
-    with stated reasons, so none of them may ever appear in the
-    baseline.  An empty-baseline self-lint under just these rules is
-    the strongest form of the guarantee."""
-    from repro.lint.rules import RULES_BY_ID
+def test_src_tree_clean_modulo_baseline(src_findings):
+    """Any finding fails; a deliberate exception lives inline as
+    ``# lint: disable=RULE-ID reason``."""
+    rendered = "\n".join(f.render() for f in src_findings)
+    assert src_findings == [], f"lint findings in src/:\n{rendered}"
 
-    rules = [RULES_BY_ID[r] for r in ("DET04", "SNAP01", "BAR01")]
-    findings = lint_paths(
-        [str(REPO_ROOT / "src")], root=str(REPO_ROOT), rules=rules
-    )
+
+def test_project_rule_debt_is_zero_everywhere(src_findings):
+    """The cross-module families (SNAP01/BAR01) and DET04 launched with
+    the tree already clean — their exemptions live inline with stated
+    reasons."""
+    findings = _of_rules(src_findings, {"DET04", "SNAP01", "BAR01"})
     rendered = "\n".join(f.render() for f in findings)
     assert findings == [], f"new-family findings in src/:\n{rendered}"
-    baseline = load_baseline(str(BASELINE))
-    baselined = {
-        path: {r: n for r, n in by_rule.items() if r in RULES_BY_ID}
-        for path, by_rule in baseline.items()
-        if any(r in ("DET04", "SNAP01", "BAR01") for r in by_rule)
-    }
-    assert baselined == {}, "new-family debt may not be baselined"
 
 
-def test_parallel_self_lint_matches_serial():
-    """--jobs fans phase 1 over a pool; the merged index and findings
-    must be byte-identical to the serial path (same contract as the
-    runner pool)."""
-    serial = lint_paths([str(REPO_ROOT / "src")], root=str(REPO_ROOT))
-    parallel = lint_paths([str(REPO_ROOT / "src")], root=str(REPO_ROOT), jobs=2)
-    assert [f.render() for f in parallel] == [f.render() for f in serial]
-
-
-def test_mut01_count_is_zero_everywhere():
-    """PR 4 fixed four shared config-object defaults by hand; the MUT01
-    sweep proves the class is extinct in src/ (not even baselined)."""
-    from repro.lint.rules import MutableDefaultRule
-
-    findings = lint_paths(
-        [str(REPO_ROOT / "src")],
-        root=str(REPO_ROOT),
-        rules=[MutableDefaultRule()],
-    )
+def test_mut01_count_is_zero_everywhere(src_findings):
+    """Shared config-object defaults were once fixed by hand; the MUT01
+    sweep proves the class is extinct in src/."""
+    findings = _of_rules(src_findings, {"MUT01"})
     rendered = "\n".join(f.render() for f in findings)
     assert findings == [], f"mutable/config-object defaults remain:\n{rendered}"
-    baseline = load_baseline(str(BASELINE))
-    baselined_mut01 = {
-        path: rules["MUT01"]
-        for path, rules in baseline.items()
-        if "MUT01" in rules
-    }
-    assert baselined_mut01 == {}, "MUT01 debt may not be baselined"
