@@ -18,8 +18,12 @@ Each tree runs in its own subprocess with that tree's ``src`` first on
 ``sys.path``; both run this file's cell table, so only the simulator
 differs.  The report lists every cell as identical or moved, with the
 per-field delta of each moved cell.  Exit status: 0 when no cell moved,
-1 when any did.  A parent tree comes from ``git archive``, e.g.
-``mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent``.
+1 when any did.
+
+``PARENT_ROOT`` is a source tree, or, when it is not a directory, a git
+revision of the repository that holds ``CHANGE_ROOT`` (``HEAD~1``,
+``main``, a commit sha): the revision is extracted with ``git archive``
+into a temporary directory, which is removed afterwards.
 """
 
 from __future__ import annotations
@@ -149,6 +153,27 @@ def run_trees(roots: List[str], scratch: str) -> List[Dict[str, Any]]:
     return payloads
 
 
+def parent_tree(parent: str, change_root: str, scratch: str) -> str:
+    """``parent`` itself when it is a directory, else the git revision
+    ``parent`` of ``change_root``'s repository extracted under
+    ``scratch``."""
+    if os.path.isdir(parent):
+        return os.path.abspath(parent)
+    archive = subprocess.run(
+        ["git", "-C", change_root, "archive", parent],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    if archive.returncode:
+        raise SystemExit(
+            f"{parent!r} is neither a directory nor a git revision of "
+            f"{change_root}: {archive.stderr.decode().strip()}"
+        )
+    tree = os.path.join(scratch, "parent")
+    os.mkdir(tree)
+    subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
+    return tree
+
+
 def canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -234,10 +259,11 @@ def main(argv: Any = None) -> int:
         return 0
     if not (args.parent_root and args.change_root):
         parser.error("PARENT_ROOT and CHANGE_ROOT are required")
-    roots = [os.path.abspath(args.parent_root), os.path.abspath(args.change_root)]
+    change_root = os.path.abspath(args.change_root)
     with tempfile.TemporaryDirectory(prefix="diff-payloads-") as scratch:
+        roots = [parent_tree(args.parent_root, change_root, scratch), change_root]
         parent, change = run_trees(roots, scratch)
-    print(f"parent {roots[0]}\nchange {roots[1]}")
+    print(f"parent {args.parent_root}\nchange {change_root}")
     return 1 if report(parent, change) else 0
 
 

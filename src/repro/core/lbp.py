@@ -126,14 +126,23 @@ class LoadBalancingPolicy:
     def advance_to(self, now: float) -> None:
         """Evaluate, in order, every tick due at or before ``now``.
 
-        Each tick makes one :meth:`set_forward_rate` call, at its own
+        Each tick is one :meth:`set_forward_rate` evaluation, at its own
         time.  No simulated time passes inside this call and Algorithm 1
         never moves ``delivered_bits``, so only the first tick can see
         bits delivered since the last sample; every later tick's SNIC_TP
         estimate is exactly 0.0, as is the first's when nothing was
-        delivered.  The estimator's timestamp and the cursor are written
-        once, after the last tick.  A call with no tick due, or after
-        :meth:`stop`, changes nothing.
+        delivered.
+
+        A zero-TP tick with ``Fwd_Th >= 0.0 + Delta_TP`` is an "idle"
+        no-op, and nothing but the tick can move the register here, so
+        once that holds every tick left is one too.  Untraced, the
+        catch-up then only steps the cursor by the same additions; the
+        check is repeated after each evaluated tick, because a threshold
+        below ``Delta_TP`` steps up one tick at a time.  A tracer turns
+        the skip off, so the decision trace records every tick.  The
+        estimator's timestamp and the cursor are written once, after the
+        last tick.  A call with no tick due, or after :meth:`stop`,
+        changes nothing.
         """
         t = self.next_tick_s
         if t > now:
@@ -141,14 +150,21 @@ class LoadBalancingPolicy:
         period = self.config.period_s
         estimator = self._estimator
         set_forward_rate = self.set_forward_rate
-        self._tick_s = t
-        if self.engine.delivered_bits == estimator._last_bits:
-            set_forward_rate(0.0)
-        else:
-            set_forward_rate(estimator.sample(t))
         last = t
-        t = t + period
+        if self.engine.delivered_bits != estimator._last_bits:
+            self._tick_s = t
+            set_forward_rate(estimator.sample(t))
+            t = t + period
+        # the float set_forward_rate(0.0) compares the register against
+        skip_idle = self.tracer is None
+        idle_th = 0.0 + self.config.delta_tp_gbps
+        director = self.director
         while t <= now:
+            if skip_idle and director._fwd_threshold_gbps >= idle_th:
+                while t <= now:
+                    last = t
+                    t = t + period
+                break
             self._tick_s = t
             set_forward_rate(0.0)
             last = t

@@ -79,7 +79,10 @@ class FlowBatch:
         rate = self.rate_gbps
         if rate <= threshold_gbps:
             # the whole train stays: ``split(1.0)`` would rebuild an equal
-            # train (``r * 1.0 == r``) and ``split(0.0)`` an empty one
+            # train (``r * 1.0 == r``) and ``split(0.0)`` an empty one,
+            # which a zero-rate train already is
+            if rate == 0.0:
+                return self, self
             return self, FlowBatch(
                 self.start_s, self.duration_s, 0.0, self.packet_bytes
             )

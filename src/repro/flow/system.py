@@ -136,9 +136,11 @@ class FlowServerSystem(Server):  # type: ignore[misc]
         served, dropped = station.advance(
             batch, self._samples, train_multiplicity, extra_latency_s
         )
-        self._dropped_packets += dropped
-        self._delivered_packets += served
-        self._delivered_bits += served * batch.packet_bits
+        if served or dropped:
+            # an idle stage returns (0.0, 0.0), whose adds change nothing
+            self._dropped_packets += dropped
+            self._delivered_packets += served
+            self._delivered_bits += served * batch.packet_bits
         return served
 
     def _forward(
@@ -270,10 +272,18 @@ class RackStepper:
         shares = self.dispatch(rate, interval, packet_bits)
         start_s = sim.now - interval
         multiplicity = self.train_multiplicity
+        # one zero-rate train serves every idle member (a batch is never
+        # mutated)
+        zero: Optional[FlowBatch] = None
         for member, share in zip(self.members, shares):
-            member._tick(
-                FlowBatch(start_s, interval, share, packet_bytes), multiplicity
-            )
+            if share == 0.0:
+                if zero is None:
+                    zero = FlowBatch(start_s, interval, share, packet_bytes)
+                member._tick(zero, multiplicity)
+            else:
+                member._tick(
+                    FlowBatch(start_s, interval, share, packet_bytes), multiplicity
+                )
         if index == self.offered_intervals - 1:
             self._frozen["final_backlog_packets"] = self.backlog_packets()
             if self.autoscaler is not None:

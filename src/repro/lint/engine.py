@@ -65,15 +65,6 @@ class Finding:
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col} {self.rule} {self.message}"
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
-
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
 

@@ -233,6 +233,9 @@ class PowerIntegrator:
     def set_level(self, component: str, watts: float, now: float) -> None:
         if watts < 0:
             raise ValueError(f"power cannot be negative ({component}: {watts})")
+        if now == self._last_update and self._levels.get(component) == watts:
+            # integrates nothing (dt = 0) and rewrites an equal level
+            return
         self._advance(now)
         if component not in self._energy:
             self._energy[component] = 0.0

@@ -10,7 +10,7 @@ from repro.core.hal import HalSystem
 from repro.core.hlb import TrafficDirector
 from repro.core.lbp import LbpConfig, LoadBalancingPolicy, profiled_initial_threshold
 from repro.core.systems import DRAIN_S
-from repro.exp.server import RunConfig, build_system
+from repro.exp.server import RunConfig, build_system, drive_system
 from repro.hw.snic import make_snic_engine
 from repro.net.addressing import AddressPlan
 from repro.net.packet import Packet
@@ -20,6 +20,7 @@ from repro.net.traffic import (
     LogNormalTraceGenerator,
 )
 from repro.obs.tracer import NULL_TRACER
+from repro.runner.spec import JobSpec
 from repro.sim.engine import Simulator
 
 PLAN = AddressPlan.default()
@@ -134,6 +135,7 @@ class TestAlgorithm1:
 
     def test_stop_halts_ticks(self):
         sim, engine, _, policy = setup()
+        policy.tracer = NULL_TRACER  # evaluate every tick, idle ones too
         drive_by_recurrence(sim, policy)
         engine.on_input_change = policy.advance_to
         ticks = spy_ticks(policy)
@@ -241,6 +243,7 @@ class TestStationClocked:
 
     def test_one_set_forward_rate_call_per_tick(self):
         _, (_, _, _, lazy) = self._pair(1.0)
+        lazy.tracer = NULL_TRACER  # evaluate every tick, idle ones too
         calls = spy_ticks(lazy)
         period = lazy.config.period_s
         for now in (0.00035, 0.00035, 0.0004, 0.00131, 0.0025):
@@ -379,6 +382,7 @@ class TestOnDemandPacketLbp:
     def test_single_server_evaluates_no_tick_in_the_drain(self):
         config = RunConfig(duration_s=0.005)
         system = build_system("hal", "nat", config)
+        system.lbp.tracer = NULL_TRACER  # evaluate every tick, idle ones too
         ticks = spy_ticks(system.lbp)
         drain_calls = []
         hook = system.snic_engine.on_input_change
@@ -401,6 +405,8 @@ class TestOnDemandPacketLbp:
     def test_rack_members_tick_through_the_drain_then_stop(self):
         duration_s = 0.01
         cluster = ClusterSystem("hal", "nat", servers=2, seed=3)
+        for member in cluster.members:
+            member.lbp.tracer = NULL_TRACER  # evaluate every tick, idle ones too
         ticks = [spy_ticks(member.lbp) for member in cluster.members]
         spec = scaled_trace("web", 2)
         generator = LogNormalTraceGenerator(
@@ -503,6 +509,83 @@ class TestOnDemandMatchesRecurrence:
             assert all(n > 0 for n in state[0]["adjustments"])
         if cell.startswith("rack"):
             assert system.autoscaler.sleeps > 0
+
+
+def _catch_up_state(lbp):
+    """Everything the idle catch-up could move, the cursor as its bits."""
+    state = _control_state(lbp)
+    del state["decisions"]
+    state["next_tick_s"] = lbp.next_tick_s.hex()
+    return state
+
+
+def _station_clocked_catch_up(threshold):
+    def build():
+        sim, engine, _, policy = setup(threshold=threshold)
+
+        def run():
+            # bits delivered between catch-ups, so a first tick samples them
+            for now in (0.00035, 0.0011, 0.0011, 0.0042, 0.0105):
+                fill_queues(engine, 8)
+                sim.run(until=now)
+                policy.advance_to(now)
+
+        return policy, run
+
+    return build
+
+
+def _packet_hal_catch_up():
+    system, _, run = _server_cell("nat", 0.1, 0.02)()
+    return system.lbp, run
+
+
+def _flow_hal_kvs_catch_up():
+    config = RunConfig(
+        duration_s=0.05, seed=5, sim_mode="flow", flow_interval_s=1e-3
+    )
+    system = build_system("hal", "kvs", config)
+    spec = JobSpec.at_rate("hal", "kvs", 5.0, config)
+    return system.lbp, lambda: drive_system(system, spec)
+
+
+#: setups whose untraced catch-up must leave Algorithm 1 where the traced
+#: one, which evaluates every tick, leaves it
+CATCH_UP_CELLS = {
+    "station-clocked Fwd_Th 1": _station_clocked_catch_up(1.0),
+    "station-clocked Fwd_Th 40": _station_clocked_catch_up(40.0),
+    "packet hal nat@0.1": _packet_hal_catch_up,
+    "flow hal kvs@5 1ms": _flow_hal_kvs_catch_up,
+}
+
+
+class TestIdleCatchUp:
+    """Untraced, ``advance_to`` steps the cursor past zero-TP ticks that
+    ``Fwd_Th >= 0.0 + Delta_TP`` makes idle no-ops instead of evaluating
+    them; a tracer evaluates (and records) every tick.  Both leave the
+    same control state, bit for bit."""
+
+    @pytest.mark.parametrize("cell", sorted(CATCH_UP_CELLS))
+    def test_untraced_catch_up_matches_every_tick_evaluated(self, cell):
+        outcomes = []
+        for traced in (False, True):
+            lbp, run = CATCH_UP_CELLS[cell]()
+            if traced:
+                lbp.tracer = NULL_TRACER
+            evaluated = spy_ticks(lbp)
+            run()
+            outcomes.append((_catch_up_state(lbp), evaluated, lbp.decisions))
+        (state, evaluated, _), (ref_state, every_tick, decisions) = outcomes
+        assert state == ref_state
+        assert every_tick == [d.t for d in decisions]
+        # the skip ran, and only over idle ticks
+        assert len(evaluated) < len(every_tick)
+        assert set(evaluated) <= set(every_tick)
+        idle = {d.t for d in decisions if d.direction == "idle"}
+        assert set(every_tick) - set(evaluated) <= idle
+        if cell in ("station-clocked Fwd_Th 1", "flow hal kvs@5 1ms"):
+            # Fwd_Th starts below Delta_TP: the up-steps ran one by one
+            assert state["adjustments"][0] > 1
 
 
 class TestProfiledThreshold:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import subprocess
 
 import pytest
 
@@ -50,3 +51,32 @@ def test_float_sign_and_type_count_as_moves(diff):
     # the canonical JSON tells 0.0 from -0.0 and 256 from 256.0
     assert diff.moved_fields({"x": 0.0}, {"x": -0.0})
     assert diff.moved_fields({"x": 256}, {"x": 256.0})
+
+
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+         *args],
+        check=True, capture_output=True,
+    )
+
+
+def test_parent_may_be_a_git_revision(diff, tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "f.txt").write_text("old\n")
+    _git(repo, "add", "f.txt")
+    _git(repo, "commit", "-q", "-m", "one")
+    (repo / "f.txt").write_text("new\n")
+    _git(repo, "commit", "-q", "-am", "two")
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+
+    tree = diff.parent_tree("HEAD~1", str(repo), str(scratch))
+    assert pathlib.Path(tree, "f.txt").read_text() == "old\n"
+    assert pathlib.Path(tree).parent == scratch
+    # a directory is used as it is
+    assert diff.parent_tree(str(repo), str(repo), str(scratch)) == str(repo)
+    with pytest.raises(SystemExit, match="neither a directory nor a git revision"):
+        diff.parent_tree("no-such-rev", str(repo), str(scratch))

@@ -66,6 +66,13 @@ class TestFlowBatch:
                 want.start_s, want.duration_s, want.packet_bytes
             )
 
+    def test_steer_hands_back_a_zero_rate_train_for_both_parts(self):
+        # an empty train is its own kept part and its own (empty) excess
+        batch = make_batch(0.0, start_s=0.25)
+        kept, excess = batch.steer(12.5)
+        assert kept is batch
+        assert excess is batch
+
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             make_batch(-1.0)

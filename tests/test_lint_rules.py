@@ -615,15 +615,6 @@ class TestFindingShape:
         assert rendered.startswith(f"{SIM}:5:")
         assert "DET01" in rendered
 
-    def test_to_dict_round_trips_through_json(self):
-        import json
-
-        src = "def f(xs=[]):\n    return xs\n"
-        finding = lint_source(src, SIM)[0]
-        data = json.loads(json.dumps(finding.to_dict()))
-        assert data["rule"] == "MUT01"
-        assert data["line"] == 1
-
     def test_syntax_error_propagates(self):
         with pytest.raises(SyntaxError):
             lint_source("def broken(:\n", SIM)

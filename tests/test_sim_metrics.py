@@ -1,5 +1,7 @@
 """Unit tests for metrics primitives."""
 
+import json
+
 import pytest
 
 from repro.sim.metrics import (
@@ -171,6 +173,49 @@ class TestPowerIntegrator:
         p = PowerIntegrator()
         with pytest.raises(ValueError):
             p.set_level("a", -1.0, 0.0)
+
+    def test_same_instant_same_level_writes_change_no_energy(self):
+        """A write at the last update's instant with the level already
+        set integrates nothing; skipping it must leave every energy
+        float as an integrator that always advances leaves it, also
+        right after a checkpoint restore rebinds the level table."""
+
+        class AlwaysAdvances(PowerIntegrator):
+            def set_level(self, component, watts, now):
+                self._advance(now)
+                if component not in self._energy:
+                    self._energy[component] = 0.0
+                self._levels[component] = watts
+
+        writes = [
+            ("a", 10.0, 0.0), ("b", 3.3, 0.0), ("a", 10.0, 0.0),
+            ("a", 12.7, 0.1), ("b", 3.3, 0.1), ("a", 12.7, 0.1),
+            ("b", 0.0, 0.1), ("b", 0.0, 0.1), ("a", 12.7, 0.3),
+            ("a", 12.7, 0.3), ("c", 5.0, 0.3), ("c", 5.0, 0.3),
+        ]
+        after_restore = [
+            ("a", 12.7, 0.3), ("c", 5.0, 0.3), ("b", 0.0, 0.45),
+            ("b", 0.0, 0.45), ("b", 7.1, 0.45), ("a", 1.9, 0.7),
+        ]
+        skipping, reference = PowerIntegrator(), AlwaysAdvances()
+        advances = []
+        advance = skipping._advance
+        skipping._advance = lambda now: advances.append(now) or advance(now)
+        for integrator in (skipping, reference):
+            for write in writes:
+                integrator.set_level(*write)
+            state = json.loads(json.dumps(integrator.state_dict()))
+            integrator.restore_state(state)
+            for write in after_restore:
+                integrator.set_level(*write)
+        assert len(advances) < len(writes) + len(after_restore)
+        for component in ("a", "b", "c", None):
+            assert (
+                skipping.energy_joules(0.9, component).hex()
+                == reference.energy_joules(0.9, component).hex()
+            )
+        assert skipping.state_dict() == reference.state_dict()
+        assert list(skipping._levels) == list(reference._levels)
 
 
 class TestTimeSeries:
